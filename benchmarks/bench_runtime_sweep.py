@@ -15,16 +15,19 @@ Annex-C study), each swept through a :class:`repro.runtime.Session`:
 
 2. **The statistical workload** (2 strategies × 12 seeded repeats of a
    sampling run, 4096 shots) — the shape the paper's noisy studies actually
-   sweep.  Its points differ only in their spawned rng, so the pool's
-   plan-batched path prepares each outcome distribution *once* per group and
-   draws per point, while the serial reference pays the full
-   prepare-per-point cost.  This is the headline ``parallel_speedup`` claim
-   (≥ 2×): it holds on any core count because plan batching, not the
-   process fan-out, does most of the work — and the pool results must be
-   identical to the serial oracle's, count for count.
+   sweep.  Its points differ only in their spawned rng, so every executor's
+   plan-batched path prepares each outcome distribution *once* per group
+   and draws per point, while the per-point oracle
+   (``SerialExecutor().map(execute_spec, payloads)``) pays the full
+   prepare-per-point cost.  The headline ``batching_speedup`` (≥ 2×) is the
+   per-point oracle over the batched serial ``Session``: plan batching
+   alone, on any core count.  ``parallel_speedup`` — batched serial over
+   the batched 4-worker pool — is what the fan-out adds on top; it is
+   recorded, not asserted (on few cores it is below 1×).  Serial and pool
+   results must be identical to the oracle's, count for count.
 
 Everything lands in ``BENCH_runtime.json``; ``check_bench_regressions.py``
-replays the warm path in CI and audits the recorded parallel claim.
+replays the warm path in CI and audits the recorded batching claim.
 
 Run with ``pytest benchmarks/bench_runtime_sweep.py -s`` for the full
 benchmark (writes the JSON), or ``python benchmarks/bench_runtime_sweep.py
@@ -51,7 +54,13 @@ import numpy as np
 
 import repro
 from repro.applications.chemistry import fermi_hubbard_chain, jordan_wigner_scb
-from repro.runtime import ProcessExecutor, Session, SweepSpec
+from repro.runtime import (
+    ProcessExecutor,
+    SerialExecutor,
+    Session,
+    SweepSpec,
+    execute_spec,
+)
 
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_runtime.json"
 
@@ -70,6 +79,7 @@ STAT_SEED = 7
 
 #: Acceptance thresholds.
 CACHE_CLAIM = 10.0
+BATCHING_CLAIM = 2.0
 PARALLEL_CLAIM = 2.0
 
 
@@ -146,32 +156,39 @@ def run_bench(*, quick: bool = False) -> dict:
             pooled_record.value.data, cold_record.value.data, atol=1e-12, rtol=0
         )
 
-    # -- workload 2: seeded repeats (plan batching + parallelism) -----------
-    stat_serial_session = Session(cache=False)
-    stat_serial, stat_serial_s = timed_sweep(stat_serial_session, stat)
+    # -- workload 2: seeded repeats (plan batching, then parallelism) -------
+    stat_payloads = [point.to_dict(canonical=True) for _, point in stat.expand()]
+    start = time.perf_counter()
+    oracle = SerialExecutor().map(execute_spec, stat_payloads)
+    stat_per_point_s = time.perf_counter() - start
+    assert all(outcome["ok"] for outcome in oracle)
+
+    stat_serial, stat_serial_s = timed_sweep(Session(cache=False), stat)
     assert stat_serial.ok
 
     stat_pool_session = Session(cache=False, executor=pool)
     stat_pooled, stat_pool_s = timed_sweep(stat_pool_session, stat)
     assert stat_pooled.ok
 
-    # The batched pool must reproduce the serial oracle count for count.
-    for serial_record, pooled_record in zip(stat_serial, stat_pooled):
-        assert serial_record.value.counts == pooled_record.value.counts
+    # Batched serial and batched pool must reproduce the per-point oracle
+    # count for count.
+    for outcome, serial_record, pooled_record in zip(oracle, stat_serial, stat_pooled):
+        assert serial_record.value.counts == outcome["result"]["counts"]
+        assert pooled_record.value.counts == outcome["result"]["counts"]
 
     cache_speedup = cold_s / warm_s
     grid_parallel_speedup = cold_s / pooled_s
+    batching_speedup = stat_per_point_s / stat_serial_s
     parallel_speedup = stat_serial_s / stat_pool_s
 
     assert cache_speedup >= CACHE_CLAIM, (
         f"cached sweep is only {cache_speedup:.1f}x over cold serial "
         f"(need ≥{CACHE_CLAIM}x)"
     )
-    assert parallel_speedup >= PARALLEL_CLAIM, (
-        f"the pool runs the seeded-repeats workload only "
-        f"{parallel_speedup:.2f}x faster than per-point serial on a "
-        f"{cores}-core machine (need ≥{PARALLEL_CLAIM}x from plan batching "
-        f"alone)"
+    assert batching_speedup >= BATCHING_CLAIM, (
+        f"the batched serial session runs the seeded-repeats workload only "
+        f"{batching_speedup:.2f}x faster than the per-point oracle "
+        f"(need ≥{BATCHING_CLAIM}x from plan batching)"
     )
     if cores >= 4:
         assert grid_parallel_speedup >= PARALLEL_CLAIM, (
@@ -202,22 +219,26 @@ def run_bench(*, quick: bool = False) -> dict:
         "serial_cold_s": round(cold_s, 6),
         "pool_cold_s": round(pooled_s, 6),
         "cached_s": round(warm_s, 6),
+        "stat_per_point_s": round(stat_per_point_s, 6),
         "stat_serial_s": round(stat_serial_s, 6),
         "stat_pool_s": round(stat_pool_s, 6),
         "cache_speedup": round(cache_speedup, 2),
+        "batching_speedup": round(batching_speedup, 2),
         "parallel_speedup": round(parallel_speedup, 2),
         "grid_parallel_speedup": round(grid_parallel_speedup, 2),
-        "parallel_claim_checked": True,
-        "parallel_claim_basis": (
-            "parallel_speedup: plan-batched pool vs per-point serial on the "
-            "seeded-repeats sampling workload (holds on any core count); "
-            "grid_parallel_speedup: the no-shared-plan statevector grid, "
-            "asserted >= 2x only on >= 4-core runners (the bench-parallel "
-            "CI job)"
+        "batching_claim_checked": True,
+        "claim_basis": (
+            "batching_speedup: per-point oracle vs plan-batched serial "
+            "Session on the seeded-repeats sampling workload (holds on any "
+            "core count); parallel_speedup: batched serial vs the batched "
+            f"{N_WORKERS}-worker pool on the same workload (recorded, not "
+            "asserted); grid_parallel_speedup: the no-shared-plan "
+            "statevector grid, asserted >= 2x only on >= 4-core runners "
+            "(the bench-parallel CI job)"
         ),
         "claims": {
             "cache_hit_speedup_min": CACHE_CLAIM,
-            "parallel_speedup_min": PARALLEL_CLAIM,
+            "batching_speedup_min": BATCHING_CLAIM,
             "grid_parallel_speedup_min_on_4_cores": PARALLEL_CLAIM,
         },
         "cached_equals_cold_atol": 1e-12,
@@ -235,9 +256,12 @@ def run_bench(*, quick: bool = False) -> dict:
             [f"grid: {N_WORKERS}-worker pool ({cores} cores)",
              f"{pooled_s:.3f}", f"{grid_parallel_speedup:.2f}x"],
             ["grid: serial, cached", f"{warm_s:.4f}", f"{cache_speedup:.1f}x"],
-            ["repeats: serial, per point", f"{stat_serial_s:.3f}", "1.0x"],
+            ["repeats: per-point oracle", f"{stat_per_point_s:.3f}", "1.0x"],
+            ["repeats: serial, batched", f"{stat_serial_s:.3f}",
+             f"{batching_speedup:.2f}x"],
             [f"repeats: {N_WORKERS}-worker pool, batched",
-             f"{stat_pool_s:.3f}", f"{parallel_speedup:.2f}x"],
+             f"{stat_pool_s:.3f}",
+             f"{stat_per_point_s / stat_pool_s:.2f}x"],
         ],
     )
     return payload
@@ -271,7 +295,8 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"wrote {RESULT_PATH.name}")
     else:
         print("quick mode: all runtime claims hold "
-              f"(parallel {payload['parallel_speedup']:.2f}x, "
+              f"(batching {payload['batching_speedup']:.2f}x, "
+              f"parallel {payload['parallel_speedup']:.2f}x, "
               f"cache {payload['cache_speedup']:.1f}x, "
               f"grid parallel {payload['grid_parallel_speedup']:.2f}x on "
               f"{payload['machine_cores']} core(s))")

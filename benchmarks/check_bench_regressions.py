@@ -21,13 +21,13 @@ path (e.g. an accidental O(gates²) pass in common infrastructure).
 
 Beyond the timing replay, the gate **audits the parallel claim**: every
 ``BENCH_*.json`` must carry the ``machine_cores`` of the box that produced
-it, and ``BENCH_runtime.json`` must have ``parallel_claim_checked`` true
-with ``parallel_speedup`` at or above its recorded minimum — a baseline
-that dodged or missed the claim fails the gate everywhere.  On a ≥ 4-core
-runner the gate additionally **re-measures** both parallel claims live
-(the quick runtime bench), so a recorded number from a small box can never
-stand in for the multi-core grid claim — which is what let a 0.89×
-"parallel" path ship unnoticed.
+it, and ``BENCH_runtime.json`` must have ``batching_claim_checked`` true
+with ``batching_speedup`` (per-point oracle over the plan-batched serial
+session) at or above its recorded minimum — a baseline that dodged or
+missed the claim fails the gate everywhere.  On a ≥ 4-core runner the gate
+additionally **re-measures** the claims live (the quick runtime bench), so
+a recorded number from a small box can never stand in for the multi-core
+grid claim — which is what let a 0.89× "parallel" path ship unnoticed.
 
 It also **audits the overhead claims**: ``BENCH_telemetry.json`` and
 ``BENCH_resilience.json`` must exist, record ``machine_cores``, and show
@@ -81,16 +81,16 @@ def audit_parallel_claim() -> "list[str]":
 
     runtime = json.loads(RUNTIME_PATH.read_text())
     claims = runtime.get("claims", {})
-    minimum = claims.get("parallel_speedup_min", 2.0)
-    if not runtime.get("parallel_claim_checked"):
+    minimum = claims.get("batching_speedup_min", 2.0)
+    if not runtime.get("batching_claim_checked"):
         failures.append(
-            f"{RUNTIME_PATH.name} has parallel_claim_checked false: the "
-            "parallel path shipped without its speedup claim being asserted"
+            f"{RUNTIME_PATH.name} has batching_claim_checked false: the "
+            "batched path shipped without its speedup claim being asserted"
         )
-    elif runtime.get("parallel_speedup", 0.0) < minimum:
+    elif runtime.get("batching_speedup", 0.0) < minimum:
         failures.append(
-            f"{RUNTIME_PATH.name} records parallel_speedup "
-            f"{runtime.get('parallel_speedup')}x, below the claimed "
+            f"{RUNTIME_PATH.name} records batching_speedup "
+            f"{runtime.get('batching_speedup')}x, below the claimed "
             f"minimum {minimum}x"
         )
 
@@ -106,10 +106,11 @@ def audit_parallel_claim() -> "list[str]":
             failures.append(f"live parallel claim failed on {cores} cores: {exc}")
         else:
             print(
-                f"live parallel claim on {cores} cores: "
-                f"batched {live['parallel_speedup']:.2f}x, "
-                f"grid {live['grid_parallel_speedup']:.2f}x "
-                f"(minimum {minimum}x)"
+                f"live claims on {cores} cores: "
+                f"batching {live['batching_speedup']:.2f}x "
+                f"(minimum {minimum}x), "
+                f"parallel {live['parallel_speedup']:.2f}x, "
+                f"grid {live['grid_parallel_speedup']:.2f}x"
             )
     return failures
 

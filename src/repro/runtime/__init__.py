@@ -42,6 +42,7 @@ from repro.runtime.executor import (
     execute_spec_batch,
     group_payloads,
     resolve_executor,
+    run_groups,
 )
 from repro.runtime.results import (
     ResultSet,
@@ -93,6 +94,7 @@ __all__ = [
     "reap_orphans",
     "resolve_executor",
     "result_to_json",
+    "run_groups",
     "set_default_session",
     "shm_enabled",
 ]

@@ -6,12 +6,14 @@ preserving item order.  :class:`SerialExecutor` runs in-process;
 ``concurrent.futures`` process pool.  Both report progress through an
 optional ``progress(done, total)`` callback as results land.
 
-The worker entry point :func:`execute_spec` is deliberately *total*: a grid
-point that raises records its exception (type, message, full traceback) in
-its outcome dict instead of poisoning the pool, so one diverging point never
-kills a thousand-point sweep.  Tasks travel as canonical
-:class:`~repro.runtime.spec.RunSpec` dicts — plain JSON-able payloads — so
-the pool never depends on pickling library objects across versions.
+Tasks travel as canonical :class:`~repro.runtime.spec.RunSpec` dicts —
+plain JSON-able payloads — so the pool never depends on pickling library
+objects across versions.  Every executor, pool worker and service worker
+runs them through one core, :func:`run_groups`, which plan-batches
+consecutive points.  :func:`execute_spec`, the per-point entry point and
+the bit-exactness oracle of the batched path, is deliberately *total*: a
+grid point that raises records its exception (type, message, full
+traceback) in its outcome dict instead of poisoning the pool.
 """
 
 from __future__ import annotations
@@ -93,40 +95,18 @@ def _execute_spec_inner(payload: dict) -> dict:
         # failure (the normal contract); delay simulates a hung point and
         # kill is uncatchable by design.
         fault_point("worker.execute")
-        from repro.runtime.results import encode_result
         from repro.runtime.spec import RunSpec
 
         spec = RunSpec.from_dict(payload)
-        with span("execute.compile", strategy=spec.strategy):
-            compile_start = time.perf_counter()
-            program = _memoized_program(spec.problem, spec.strategy)
-            compile_seconds = time.perf_counter() - compile_start
-        # The program builds its circuit/plan lazily *inside* run(), so the
-        # run-time split is recovered by diffing the program's build-timing
-        # ledger around the call (see CompiledProgram.build_timings).
-        built_before = program.build_seconds
-        plan_before = program.build_timings.get("plan", 0.0)
-        with span("execute.evolve", backend=spec.backend):
-            run_start = time.perf_counter()
-            value = program.run(backend=spec.backend, **spec.run_kwargs)
-            run_seconds = time.perf_counter() - run_start
-        built_delta = program.build_seconds - built_before
-        plan_delta = program.build_timings.get("plan", 0.0) - plan_before
-        with span("execute.encode"):
-            encode_start = time.perf_counter()
-            meta, arrays = encode_result(value)
-            encode_seconds = time.perf_counter() - encode_start
+        [(meta, arrays)], timings = _timed_run(
+            spec, lambda program: [program.run(backend=spec.backend, **spec.run_kwargs)]
+        )
         return {
             "ok": True,
             "result": meta,
             "arrays": arrays,
             "wall_time": time.perf_counter() - start,
-            "timings": {
-                "compile": compile_seconds + max(0.0, built_delta - plan_delta),
-                "plan": plan_delta,
-                "evolve": max(0.0, run_seconds - built_delta),
-                "encode": encode_seconds,
-            },
+            "timings": timings,
         }
     except Exception as exc:  # noqa: BLE001 - failure capture is the contract
         return {
@@ -138,6 +118,38 @@ def _execute_spec_inner(payload: dict) -> dict:
             },
             "wall_time": time.perf_counter() - start,
         }
+
+
+def _timed_run(spec, run: "Callable[[Any], list]") -> "tuple[list, dict]":
+    """Compile, ``run(program) -> values``, encode: pairs plus phase seconds.
+
+    The program builds its circuit/plan lazily *inside* ``run``, so the
+    split is recovered by diffing its build-timing ledger around the call.
+    """
+    from repro.runtime.results import encode_result
+
+    with span("execute.compile", strategy=spec.strategy):
+        compile_start = time.perf_counter()
+        program = _memoized_program(spec.problem, spec.strategy)
+        compile_seconds = time.perf_counter() - compile_start
+    built_before = program.build_seconds
+    plan_before = program.build_timings.get("plan", 0.0)
+    with span("execute.evolve", backend=spec.backend):
+        run_start = time.perf_counter()
+        values = run(program)
+        run_seconds = time.perf_counter() - run_start
+    built_delta = program.build_seconds - built_before
+    plan_delta = program.build_timings.get("plan", 0.0) - plan_before
+    with span("execute.encode"):
+        encode_start = time.perf_counter()
+        encoded = [encode_result(value) for value in values]
+        encode_seconds = time.perf_counter() - encode_start
+    return encoded, {
+        "compile": compile_seconds + max(0.0, built_delta - plan_delta),
+        "plan": plan_delta,
+        "evolve": max(0.0, run_seconds - built_delta),
+        "encode": encode_seconds,
+    }
 
 
 def _run_chunk(
@@ -264,9 +276,9 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
     executed as one vectorized evolution and sliced back out — bit-identical
     to running each payload through :func:`execute_spec`, because the batched
     kernels perform the same element-wise arithmetic per column and the
-    sampling path shares the exact distribution-then-draw code.  Any group
-    the fused path cannot represent falls back to per-point execution, so
-    failure capture and outcome shape are exactly the serial contract's.
+    sampling path shares the exact distribution-then-draw code.  A single
+    payload, or any group the fused path cannot represent, runs per point,
+    so failure capture and outcome shape are exactly the serial contract's.
     """
     payloads = list(payloads)
     metrics.incr("batch.points_total", len(payloads))
@@ -278,7 +290,6 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
         # Inside the try: an injected raise drops the group to the per-point
         # fallback (where each point hits its own fault/capture path).
         fault_point("worker.execute")
-        from repro.runtime.results import encode_result
         from repro.runtime.spec import RunSpec
 
         with span(
@@ -287,37 +298,14 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
             points=n_points,
         ):
             spec0 = RunSpec.from_dict(payloads[0])
-            with span("execute.compile", strategy=spec0.strategy):
-                compile_start = time.perf_counter()
-                program = _memoized_program(spec0.problem, spec0.strategy)
-                compile_seconds = time.perf_counter() - compile_start
-            built_before = program.build_seconds
-            plan_before = program.build_timings.get("plan", 0.0)
-            with span("execute.evolve", backend=spec0.backend):
-                run_start = time.perf_counter()
-                if spec0.backend == "kernel":
-                    values = _batched_kernel(spec0, program, payloads)
-                elif spec0.backend == "sampling":
-                    values = _batched_sampling(spec0, program, payloads)
-                else:
-                    raise _Unbatchable(
-                        f"backend {spec0.backend!r} has no batch axis"
-                    )
-                run_seconds = time.perf_counter() - run_start
-            built_delta = program.build_seconds - built_before
-            plan_delta = program.build_timings.get("plan", 0.0) - plan_before
-            with span("execute.encode"):
-                encode_start = time.perf_counter()
-                encoded = [encode_result(value) for value in values]
-                encode_seconds = time.perf_counter() - encode_start
+            if spec0.backend not in BATCH_AXES:
+                raise _Unbatchable(f"backend {spec0.backend!r} has no batch axis")
+            batched = _batched_kernel if spec0.backend == "kernel" else _batched_sampling
+            encoded, timings = _timed_run(
+                spec0, lambda program: batched(spec0, program, payloads)
+            )
         per_point = (time.perf_counter() - start) / n_points
-        timings = {
-            "compile": (compile_seconds + max(0.0, built_delta - plan_delta))
-            / n_points,
-            "plan": plan_delta / n_points,
-            "evolve": max(0.0, run_seconds - built_delta) / n_points,
-            "encode": encode_seconds / n_points,
-        }
+        timings = {phase: seconds / n_points for phase, seconds in timings.items()}
         metrics.incr("batch.points_fused", n_points)
         return [
             {
@@ -336,27 +324,35 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
         return [execute_spec(payload) for payload in payloads]
 
 
-def _run_spec_chunk(
-    groups: list[list[dict]], trace=None, progress_queue=None
-) -> list[list[dict]]:
-    """Execute batch-key groups inside a worker, exporting big arrays as shm.
+def run_groups(payloads: "Sequence[dict]"):
+    """The execution core: yield ``(indices, outcomes)`` per plan group.
 
-    The worker-side counterpart of :meth:`ProcessExecutor.map_specs`: each
-    group runs through :func:`execute_spec_batch`, and when the pool
-    initializer installed a shared-memory namespace, every large result array
-    leaves through a named segment instead of the pickle pipe.  ``trace`` is
-    the parent's span context (worker spans attach to the submitting trace);
-    ``progress_queue`` receives one count per completed group so the parent
-    can report per-point progress mid-chunk.
+    Groups (:func:`group_payloads`) run in payload order, each only when
+    the caller asks for it: a caller cancels by breaking out between
+    groups, holding outcomes for a prefix of the payloads.
+    """
+    payloads = list(payloads)
+    for group in group_payloads(payloads):
+        yield group, execute_spec_batch([payloads[i] for i in group])
+
+
+def _run_spec_chunk(
+    payloads: list[dict], trace=None, progress_queue=None
+) -> list[dict]:
+    """Execute one chunk inside a worker, exporting big arrays as shm.
+
+    Chunks never split a plan group, so :func:`run_groups` reproduces the
+    parent's groups.  When the pool initializer installed a shared-memory
+    namespace, large result arrays leave through named segments instead of
+    the pickle pipe.  ``trace`` is the parent's span context;
+    ``progress_queue`` receives one count per completed group.
     """
     from repro.runtime import shm
 
-    results: list[list[dict]] = []
+    results: list[dict] = []
     with trace_context(trace):
-        for group in groups:
-            results.append(
-                [shm.export_outcome(outcome) for outcome in execute_spec_batch(group)]
-            )
+        for group, outcomes in run_groups(payloads):
+            results.extend(shm.export_outcome(outcome) for outcome in outcomes)
             if progress_queue is not None:
                 try:
                     progress_queue.put_nowait(len(group))
@@ -404,7 +400,11 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """In-process execution, one item at a time (the zero-dependency default)."""
+    """In-process execution (the zero-dependency default).
+
+    ``map(execute_spec, payloads)`` is the per-point oracle; ``Session``
+    calls :meth:`map_specs`, which plan-batches like the pool's workers.
+    """
 
     name = "serial"
     n_workers = 1
@@ -418,6 +418,16 @@ class SerialExecutor:
                 progress(index + 1, len(items))
         return results
 
+    def map_specs(self, payloads, *, progress=None) -> list[dict]:
+        """Run canonical payloads through :func:`run_groups`; progress per group."""
+        payloads = list(payloads)
+        results: list[dict] = []
+        for _, outcomes in run_groups(payloads):
+            results.extend(outcomes)
+            if progress is not None:
+                progress(len(results), len(payloads))
+        return results
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "SerialExecutor()"
 
@@ -429,8 +439,8 @@ class ProcessExecutor:
     threading to ``blas_threads_per_worker`` (default 1), so a CPU-count
     pool no longer oversubscribes the box with ``n_workers × N`` BLAS
     threads.  Canonical run payloads dispatched through :meth:`map_specs`
-    additionally get plan-batched execution and shared-memory result
-    transport (see :mod:`repro.runtime.shm`).
+    are plan-batched as in :class:`SerialExecutor` and additionally get
+    shared-memory result transport (see :mod:`repro.runtime.shm`).
 
     Parameters
     ----------
@@ -684,8 +694,8 @@ class ProcessExecutor:
 
         The fast path behind :meth:`Session._execute`: payloads are gathered
         into plan-batch groups (:func:`group_payloads`), the groups are
-        fanned out in group-preserving chunks, workers run
-        :func:`execute_spec_batch` and ship large arrays back as
+        fanned out in group-preserving chunks, workers run them through
+        :func:`run_groups` and ship large arrays back as
         shared-memory segment references, and the parent reattaches them
         zero-copy.  Outcomes come back in payload order with the exact
         per-point contract of :func:`execute_spec`.
@@ -703,28 +713,16 @@ class ProcessExecutor:
         are content-addressed and side-effect-free in the worker.
         """
         payloads = list(payloads)
-        if not payloads:
-            return []
-        groups = group_payloads(payloads)
-        if self.n_workers == 1 or len(payloads) == 1:
+        if self.n_workers == 1 or len(payloads) <= 1:
             # In-process: same batched semantics, no transport needed.
-            results: list = [None] * len(payloads)
-            done = 0
-            for group in groups:
-                outcomes = execute_spec_batch([payloads[i] for i in group])
-                for index, outcome in zip(group, outcomes):
-                    results[index] = outcome
-                done += len(group)
-                if progress is not None:
-                    progress(done, len(payloads))
-            return results
+            return SerialExecutor().map_specs(payloads, progress=progress)
 
         import multiprocessing
 
         from repro.runtime import shm
 
         prefix = shm.make_prefix() if self._shm_active() else None
-        chunks = self._chunk_groups(groups, len(payloads))
+        chunks = self._chunk_groups(group_payloads(payloads), len(payloads))
         context = (
             multiprocessing.get_context(self.mp_context)
             if self.mp_context is not None
@@ -788,7 +786,13 @@ class ProcessExecutor:
                         "point(s) onto a fresh pool (restart %d/%d)",
                         missing, restarts, self.max_restarts,
                     )
-                    chunks = self._chunk_groups(leftovers, missing)
+                    # Regroup: groups of one plan that a finished group kept
+                    # apart may now be adjacent, and workers run them as one.
+                    flat = [i for group in leftovers for i in group]
+                    regrouped = group_payloads([payloads[i] for i in flat])
+                    chunks = self._chunk_groups(
+                        [[flat[j] for j in group] for group in regrouped], missing
+                    )
                 drain(final=True)
         finally:
             if manager is not None:
@@ -836,7 +840,7 @@ class ProcessExecutor:
                     futures[
                         pool.submit(
                             _run_spec_chunk,
-                            [[payloads[i] for i in group] for group in chunk],
+                            [payloads[i] for group in chunk for i in group],
                             trace,
                             progress_queue,
                         )
@@ -856,13 +860,13 @@ class ProcessExecutor:
                 for future in finished:
                     chunk = futures[future]
                     try:
-                        outcome_groups = future.result()
+                        outcomes = future.result()
                     except BrokenProcessPool:
                         abandoned = True
                         continue
-                    for group, outcomes in zip(chunk, outcome_groups):
-                        for index, outcome in zip(group, outcomes):
-                            results[index] = shm.resolve_outcome(outcome)
+                    indices = (i for group in chunk for i in group)
+                    for index, outcome in zip(indices, outcomes):
+                        results[index] = shm.resolve_outcome(outcome)
                 if (
                     not abandoned
                     and stall_after is not None

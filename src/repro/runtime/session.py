@@ -206,11 +206,11 @@ class Session:
             payloads = [
                 points[pending[key][0]][1].to_dict(canonical=True) for key in order
             ]
-            # Executors that understand canonical run payloads (the process
-            # pool, and anything else exposing ``map_specs``) get them raw:
-            # that is the seam where plan-batched chunking and shared-memory
-            # result transport live.  SerialExecutor deliberately stays on
-            # the per-point ``execute_spec`` path — it is the bit-exactness
+            # Executors that understand canonical run payloads (both built-in
+            # executors, and anything else exposing ``map_specs``) get them
+            # raw: that is the seam where plan batching (and, in the pool,
+            # shared-memory result transport) lives.  A third-party executor
+            # with only ``map`` runs per point through ``execute_spec``, the
             # oracle the batched path is differential-tested against.
             map_specs = getattr(self.executor, "map_specs", None)
             if map_specs is not None:

@@ -38,7 +38,7 @@ from typing import Any
 from repro.exceptions import ReproError, SpecError
 from repro.resilience import fault_point
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import execute_spec_batch, group_payloads
+from repro.runtime.executor import run_groups
 from repro.runtime.results import encode_result
 from repro.telemetry import metrics, span, trace_context
 from repro.telemetry.exporters import MetricsHTTPServer, render_prometheus
@@ -924,24 +924,17 @@ class Daemon:
                 )
             outcomes: "list[dict]" = []
             if payloads is not None:
-                # Consecutive points sharing a compiled plan run as one
-                # vectorized batch; cancellation is re-checked between
-                # groups, and because groups are consecutive index ranges
-                # the outcomes stay a prefix of ``chunk.indices`` order.
+                # Each plan group runs as one batch; cancellation is checked
+                # between groups, so outcomes are a prefix of chunk.indices.
                 with trace_context(trace), span(
                     "service.chunk", worker=worker_id, points=len(payloads)
                 ):
-                    for group in group_payloads(payloads):
+                    for _, batch in run_groups(payloads):
+                        outcomes.extend(batch)
                         with self._lock:
                             job = self._jobs.get(chunk.job_id)
-                            cancelled = (
-                                job is None or job.terminal or self._stop.is_set()
-                            )
-                        if cancelled:
-                            break  # abandon the chunk's tail
-                        outcomes.extend(
-                            execute_spec_batch([payloads[i] for i in group])
-                        )
+                            if job is None or job.terminal or self._stop.is_set():
+                                break  # abandon the chunk's tail
             self._complete(worker_id, chunk.chunk_id, outcomes)
 
     def _reaper_loop(self) -> None:

@@ -2,8 +2,8 @@
 
 ``python -m repro.service worker --connect <socket>`` runs this loop.  The
 worker claims chunks and executes them through the same
-:func:`~repro.runtime.executor.execute_spec_batch` entry point the process
-executor's pool uses: consecutive grid points sharing a compiled plan
+:func:`~repro.runtime.executor.run_groups` core every executor uses:
+consecutive grid points sharing a compiled plan
 (repeat axes, initial-state grids) run as one vectorized evolution, and the
 per-process compiled-program memo keeps a long-lived worker's compiles warm
 across jobs.  Outcomes ship back for the daemon to cache.
@@ -31,7 +31,7 @@ import socket
 import time
 
 from repro.resilience import Deadline, RetryPolicy
-from repro.runtime.executor import execute_spec_batch, group_payloads
+from repro.runtime.executor import run_groups
 from repro.service.protocol import (
     RemoteError,
     ServiceConnectionError,
@@ -154,25 +154,24 @@ def run_worker(
         with trace_context(claim.get("trace")), span(
             "service.chunk", worker=worker_id, points=len(payloads)
         ):
-            for number, group in enumerate(group_payloads(payloads)):
-                if number:
-                    # Renew the lease and learn about cancellation between
-                    # groups.
-                    try:
-                        beat = call("heartbeat", chunk_id=claim["chunk_id"])
-                    except ServiceConnectionError:
-                        return 0
-                    except RemoteError:
-                        # The daemon no longer recognizes this lease (it was
-                        # reaped, or the daemon restarted): stop computing a
-                        # chunk nobody will accept.
-                        abandoned = True
-                        break
-                    if beat.get("cancelled"):
-                        abandoned = True
-                        break
-                batch = execute_spec_batch([payloads[i] for i in group])
+            for _, batch in run_groups(payloads):
                 outcomes.extend(outcome_to_wire(outcome) for outcome in batch)
+                if len(outcomes) == len(payloads):
+                    break
+                # Renew the lease and learn about cancellation between groups.
+                try:
+                    beat = call("heartbeat", chunk_id=claim["chunk_id"])
+                except ServiceConnectionError:
+                    return 0
+                except RemoteError:
+                    # The daemon no longer recognizes this lease (it was
+                    # reaped, or the daemon restarted): stop computing a
+                    # chunk nobody will accept.
+                    abandoned = True
+                    break
+                if beat.get("cancelled"):
+                    abandoned = True
+                    break
         if not abandoned:
             try:
                 call(

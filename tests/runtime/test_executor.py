@@ -365,6 +365,60 @@ class TestMapSpecs:
             ProcessExecutor(2, blas_threads_per_worker=0)
 
 
+class TestRunGroups:
+    """The execution core every executor, the daemon and the worker share."""
+
+    def payloads(self):
+        sampling = [
+            RunSpec(
+                problem=problem(), backend="sampling",
+                run_kwargs={"shots": 64, "rng": index},
+            )
+            for index in range(3)
+        ]
+        kernel = [
+            RunSpec(
+                problem=problem(steps=2), backend="kernel",
+                run_kwargs={"initial_state": index},
+            )
+            for index in range(2)
+        ]
+        specs = sampling + [RunSpec(problem=problem())] + kernel
+        return [spec.to_dict(canonical=True) for spec in specs]
+
+    def test_groups_cover_the_payloads_in_order(self):
+        import numpy as np
+
+        from repro.runtime import run_groups
+
+        payloads = self.payloads()
+        reference = [execute_spec(p) for p in payloads]
+        groups = list(run_groups(payloads))
+        assert [indices for indices, _ in groups] == [[0, 1, 2], [3], [4, 5]]
+        outcomes = [outcome for _, batch in groups for outcome in batch]
+        for fused, ref in zip(outcomes, reference):
+            assert fused["ok"] and ref["ok"]
+            for key in ref["arrays"]:
+                assert np.array_equal(fused["arrays"][key], ref["arrays"][key])
+
+    def test_break_after_the_first_group_runs_nothing_later(self):
+        from repro.runtime import run_groups
+        from repro.telemetry import metrics
+
+        payloads = self.payloads()
+        before = metrics.counter("batch.points_total")
+        collected = []
+        for indices, outcomes in run_groups(payloads):
+            collected.extend(zip(indices, outcomes))
+            break
+        assert metrics.counter("batch.points_total") - before == 3
+        assert [index for index, _ in collected] == [0, 1, 2]
+        reference = [execute_spec(p) for p in payloads[:3]]
+        assert [o["result"]["counts"] for _, o in collected] == [
+            r["result"]["counts"] for r in reference
+        ]
+
+
 class TestWorkerHygiene:
     def test_pool_workers_pin_blas_threads(self):
         values = ProcessExecutor(2, chunk_size=1).map(_read_blas_env, [0, 1, 2])
@@ -412,19 +466,20 @@ class TestPerPointProgress:
     def test_run_spec_chunk_counts_group_sizes(self):
         from repro.runtime.executor import _run_spec_chunk
 
-        groups = [
-            [
-                RunSpec(
-                    problem=problem(), backend="sampling",
-                    run_kwargs={"shots": 32, "rng": index},
-                ).to_dict(canonical=True)
-                for index in range(size)
-            ]
-            for size in (2, 1)
+        # A chunk arrives flat; the worker regroups it (two plan groups:
+        # different shot counts never share a prepared draw).
+        payloads = [
+            RunSpec(
+                problem=problem(), backend="sampling",
+                run_kwargs={"shots": shots, "rng": index},
+            ).to_dict(canonical=True)
+            for shots, size in ((32, 2), (64, 1))
+            for index in range(size)
         ]
         queue = _RecordingQueue()
-        outcome_groups = _run_spec_chunk(groups, None, queue)
-        assert [len(g) for g in outcome_groups] == [2, 1]
+        outcomes = _run_spec_chunk(payloads, None, queue)
+        assert len(outcomes) == 3 and all(o["ok"] for o in outcomes)
+        assert [o.get("batched") for o in outcomes] == [2, 2, None]
         assert queue.counts == [2, 1]
 
     def test_pool_reports_mid_chunk_progress(self):

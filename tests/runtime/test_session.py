@@ -351,6 +351,37 @@ class TestDefaultSession:
             set_default_session(None)
 
 
+class TestSerialPlanBatching:
+    """Serial sessions batch through the same core as the pool."""
+
+    def test_seeded_repeats_batch_and_match_the_per_point_oracle(self):
+        from repro.runtime import SerialExecutor, execute_spec
+        from repro.telemetry import metrics
+
+        spec = SweepSpec(
+            problem=problem(),
+            strategies=("direct", "pauli"),
+            backend="sampling",
+            run_kwargs={"shots": 256},
+            seed=11,
+            repeats=5,
+        )
+        payloads = [point.to_dict(canonical=True) for _, point in spec.expand()]
+        oracle = SerialExecutor().map(execute_spec, payloads)
+        seen = []
+        before = metrics.counter("batch.points_fused")
+        results = Session(
+            cache=False, progress=lambda done, total: seen.append((done, total))
+        ).sweep(spec)
+        assert len(results) == 10 and results.ok
+        assert [r.value.counts for r in results] == [
+            o["result"]["counts"] for o in oracle
+        ]
+        # One group per strategy, each fused whole, each reported once.
+        assert metrics.counter("batch.points_fused") - before == 10
+        assert seen == [(5, 10), (10, 10)]
+
+
 class TestBatchedPoolParity:
     """The plan-batched pool path must be indistinguishable from serial."""
 
