@@ -31,9 +31,8 @@ The full machinery lives in the subpackages:
   applications;
 * :mod:`repro.analysis` — gate-count and Trotter-error reports.
 
-The pre-pipeline top-level entry points (``repro.evolve_term`` and friends)
-keep working but emit :class:`DeprecationWarning`; import them from
-:mod:`repro.core` directly if you need the raw builders without the warning.
+The raw circuit builders (``evolve_term``, ``direct_hamiltonian_simulation``,
+…) live in :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import logging as _logging
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
 from repro import compile as compile  # noqa: F401  (callable subpackage)
-from repro._deprecation import deprecated_alias as _deprecated_alias
 from repro.circuits import QuantumCircuit, Statevector, circuit_unitary, transpile
 from repro.compile import (
     CompiledProgram,
@@ -59,15 +57,6 @@ from repro.compile import (
     compile_many,
     compile_problem,
     run_many,
-)
-from repro.core import (
-    direct_hamiltonian_simulation as _direct_hamiltonian_simulation,
-    evolve_fragment as _evolve_fragment,
-    evolve_term as _evolve_term,
-    fragment_block_encoding as _fragment_block_encoding,
-    hamiltonian_block_encoding as _hamiltonian_block_encoding,
-    pauli_hamiltonian_simulation as _pauli_hamiltonian_simulation,
-    term_lcu_decomposition as _term_lcu_decomposition,
 )
 from repro.circuits.density_matrix import DensityMatrix
 from repro.exceptions import CompileError, OptionsError, ReproError
@@ -96,42 +85,6 @@ from repro.runtime import (
     Session,
     SweepSpec,
     get_default_session,
-)
-
-# ---------------------------------------------------------------------------
-# Deprecated pre-pipeline entry points (still functional, now warning).
-# ---------------------------------------------------------------------------
-
-evolve_term = _deprecated_alias(
-    _evolve_term, "evolve_term", 'repro.compile(problem, strategy="direct")'
-)
-evolve_fragment = _deprecated_alias(
-    _evolve_fragment, "evolve_fragment", 'repro.compile(problem, strategy="direct")'
-)
-direct_hamiltonian_simulation = _deprecated_alias(
-    _direct_hamiltonian_simulation,
-    "direct_hamiltonian_simulation",
-    'repro.compile(problem, strategy="direct").circuit',
-)
-pauli_hamiltonian_simulation = _deprecated_alias(
-    _pauli_hamiltonian_simulation,
-    "pauli_hamiltonian_simulation",
-    'repro.compile(problem, strategy="pauli").circuit',
-)
-hamiltonian_block_encoding = _deprecated_alias(
-    _hamiltonian_block_encoding,
-    "hamiltonian_block_encoding",
-    'repro.compile(problem, strategy="block_encoding")',
-)
-fragment_block_encoding = _deprecated_alias(
-    _fragment_block_encoding,
-    "fragment_block_encoding",
-    'repro.compile(problem, strategy="block_encoding")',
-)
-term_lcu_decomposition = _deprecated_alias(
-    _term_lcu_decomposition,
-    "term_lcu_decomposition",
-    "repro.core.term_lcu_decomposition",
 )
 
 __version__ = "1.1.0"
@@ -183,12 +136,4 @@ __all__ = [
     "ReproError",
     "CompileError",
     "OptionsError",
-    # deprecated entry points
-    "evolve_term",
-    "evolve_fragment",
-    "direct_hamiltonian_simulation",
-    "pauli_hamiltonian_simulation",
-    "hamiltonian_block_encoding",
-    "fragment_block_encoding",
-    "term_lcu_decomposition",
 ]

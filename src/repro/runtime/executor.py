@@ -339,20 +339,16 @@ def run_groups(payloads: "Sequence[dict]"):
 def _run_spec_chunk(
     payloads: list[dict], trace=None, progress_queue=None
 ) -> list[dict]:
-    """Execute one chunk inside a worker, exporting big arrays as shm.
+    """Execute one chunk inside a worker.
 
     Chunks never split a plan group, so :func:`run_groups` reproduces the
-    parent's groups.  When the pool initializer installed a shared-memory
-    namespace, large result arrays leave through named segments instead of
-    the pickle pipe.  ``trace`` is the parent's span context;
+    parent's groups.  ``trace`` is the parent's span context;
     ``progress_queue`` receives one count per completed group.
     """
-    from repro.runtime import shm
-
     results: list[dict] = []
     with trace_context(trace):
         for group, outcomes in run_groups(payloads):
-            results.extend(shm.export_outcome(outcome) for outcome in outcomes)
+            results.extend(outcomes)
             if progress_queue is not None:
                 try:
                     progress_queue.put_nowait(len(group))
@@ -361,23 +357,119 @@ def _run_spec_chunk(
     return results
 
 
-def _worker_init(shm_prefix: "str | None", blas_threads: int) -> None:
-    """Process-pool initializer: BLAS pinning + shared-memory namespace.
+# ---------------------------------------------------------------------------
+# Worker hygiene
+# ---------------------------------------------------------------------------
+
+#: The environment knobs every mainstream BLAS/OpenMP runtime honours.
+BLAS_ENV_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+_OPENBLAS_SYMBOLS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _bundled_blas_libraries() -> list[str]:
+    """The OpenBLAS shared objects bundled inside the numpy/scipy wheels."""
+    import glob
+
+    found: list[str] = []
+    for module_name in ("numpy", "scipy"):
+        try:
+            module = __import__(module_name)
+        except ImportError:  # pragma: no cover - scipy is a hard dep here
+            continue
+        libs = os.path.join(
+            os.path.dirname(os.path.dirname(module.__file__)),
+            f"{module_name}.libs",
+        )
+        found.extend(glob.glob(os.path.join(libs, "*openblas*")))
+    return found
+
+
+def pin_blas_threads(n: int = 1) -> None:
+    """Cap BLAS/OpenMP threading at ``n`` threads for this process.
+
+    Sets the environment knobs (authoritative for libraries not yet loaded
+    and for any further subprocesses) and then calls the ``set_num_threads``
+    entry point of every already-loaded bundled OpenBLAS — the case that
+    matters under ``fork``, where workers inherit a fully initialized BLAS
+    whose thread pool no longer reads the environment.  Never raises: a BLAS
+    we cannot find simply keeps its configuration.
+    """
+    value = str(max(1, int(n)))
+    for var in BLAS_ENV_VARS:
+        os.environ[var] = value
+    import ctypes
+
+    for library in _bundled_blas_libraries():
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:  # pragma: no cover - unloadable stray file
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                try:
+                    fn(int(value))
+                except Exception:  # pragma: no cover - exotic ABI
+                    pass
+
+
+def _worker_init(blas_threads: int) -> None:
+    """Process-pool initializer: BLAS pinning and a fresh fault plan.
 
     Runs once per worker before any task: caps BLAS/OpenMP threading so
     ``n_workers`` processes do not fan out ``n_workers × N`` BLAS threads
-    over the same cores, and installs the sweep's segment namespace for
-    :func:`_run_spec_chunk` result transport.  Fault-plan state is reset so
-    a forked worker re-reads ``REPRO_FAULTS`` with fresh trigger counters
-    instead of inheriting the parent's mid-count plan.
+    over the same cores.  Fault-plan state is reset so a forked worker
+    re-reads ``REPRO_FAULTS`` with fresh trigger counters instead of
+    inheriting the parent's mid-count plan.
     """
-    from repro.runtime import shm
     from repro.telemetry.profiler import maybe_start_profiler
 
     _reset_fault_state()
-    shm.pin_blas_threads(blas_threads)
-    shm.activate_worker(shm_prefix)
+    pin_blas_threads(blas_threads)
     maybe_start_profiler()  # REPRO_PROFILE-armed; one dict lookup when off
+
+
+# ---------------------------------------------------------------------------
+# Parent-side memory of pooled results
+# ---------------------------------------------------------------------------
+#
+# The pool unpickles each result on its own thread, so a result's arrays and
+# the receive buffers around them (several times the array's size) land in
+# that thread's malloc arena, which glibc neither reuses for the caller's
+# allocations nor trims promptly.  On 18-qubit (4 MiB) states that raised
+# the parent's peak RSS by ~17%; copying the arrays on the caller's thread
+# (~1 ms a state) and trimming the heap once per fan-out brings it under 2%.
+
+
+def _adopt_arrays(outcome: dict) -> dict:
+    """Re-allocate an outcome's arrays on this thread (see above)."""
+    arrays = outcome.get("arrays")
+    if arrays:
+        outcome["arrays"] = {key: np.array(value) for key, value in arrays.items()}
+    return outcome
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS (glibc only; else a no-op)."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):  # not glibc
+        return
+    trim(0)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +531,7 @@ class ProcessExecutor:
     threading to ``blas_threads_per_worker`` (default 1), so a CPU-count
     pool no longer oversubscribes the box with ``n_workers × N`` BLAS
     threads.  Canonical run payloads dispatched through :meth:`map_specs`
-    are plan-batched as in :class:`SerialExecutor` and additionally get
-    shared-memory result transport (see :mod:`repro.runtime.shm`).
+    are plan-batched as in :class:`SerialExecutor`.
 
     Parameters
     ----------
@@ -457,10 +548,6 @@ class ProcessExecutor:
     blas_threads_per_worker:
         BLAS/OpenMP thread cap installed in every worker (default 1;
         raise it for pools of fewer workers than cores).
-    use_shm:
-        ``None`` (default) follows ``REPRO_SHM``/platform support; ``False``
-        forces every result through the pickle pipe; ``True`` requires
-        shared-memory transport and raises if unavailable.
     point_timeout:
         Hung-point watchdog for :meth:`map_specs` (seconds per point,
         scaled by the largest batch group in flight).  When no point
@@ -484,7 +571,6 @@ class ProcessExecutor:
         chunk_size: int | None = None,
         mp_context: str | None = None,
         blas_threads_per_worker: int = 1,
-        use_shm: bool | None = None,
         point_timeout: float | None = None,
         max_restarts: int = 1,
     ):
@@ -502,27 +588,12 @@ class ProcessExecutor:
             raise SpecError(f"point_timeout must be > 0, got {point_timeout}")
         if max_restarts < 0:
             raise SpecError(f"max_restarts must be >= 0, got {max_restarts}")
-        from repro.runtime import shm
-
-        if use_shm is True and not shm.shm_enabled():
-            raise SpecError(
-                "use_shm=True but shared-memory transport is unavailable "
-                "(REPRO_SHM=0 or no multiprocessing.shared_memory support)"
-            )
         self.n_workers = int(n_workers)
         self.chunk_size = chunk_size
         self.mp_context = mp_context
         self.blas_threads_per_worker = int(blas_threads_per_worker)
-        self.use_shm = use_shm
         self.point_timeout = None if point_timeout is None else float(point_timeout)
         self.max_restarts = int(max_restarts)
-
-    def _shm_active(self) -> bool:
-        from repro.runtime import shm
-
-        if self.use_shm is None:
-            return shm.shm_enabled()
-        return bool(self.use_shm)
 
     def _resolve_chunk(self, n_items: int) -> int:
         if self.chunk_size is not None:
@@ -571,7 +642,7 @@ class ProcessExecutor:
                 max_workers=min(self.n_workers, len(chunks)),
                 mp_context=context,
                 initializer=_worker_init,
-                initargs=(None, self.blas_threads_per_worker),
+                initargs=(self.blas_threads_per_worker,),
             ) as pool:
                 futures = {
                     pool.submit(_run_chunk, fn, chunk_items, progress_queue): start
@@ -690,19 +761,14 @@ class ProcessExecutor:
         *,
         progress: "Callable[[int, int], None] | None" = None,
     ) -> list[dict]:
-        """Execute canonical RunSpec payloads: batched, shm-transported.
+        """Execute canonical RunSpec payloads, plan-batched across the pool.
 
         The fast path behind :meth:`Session._execute`: payloads are gathered
         into plan-batch groups (:func:`group_payloads`), the groups are
-        fanned out in group-preserving chunks, workers run them through
-        :func:`run_groups` and ship large arrays back as
-        shared-memory segment references, and the parent reattaches them
-        zero-copy.  Outcomes come back in payload order with the exact
-        per-point contract of :func:`execute_spec`.
-
-        Every fan-out ends with a reaper sweep over its segment namespace
-        (plus a global sweep for dead owners), so neither a failed chunk nor
-        a SIGKILLed worker can leak ``/dev/shm`` blocks.
+        fanned out in group-preserving chunks, and workers run them through
+        :func:`run_groups`.  Outcomes, arrays included, come back through
+        the pool's result pipe in payload order with the exact per-point
+        contract of :func:`execute_spec`.
 
         With ``point_timeout`` set, a watchdog tracks per-group completions:
         a pool that stops making progress (hung point) or loses a worker to
@@ -714,14 +780,11 @@ class ProcessExecutor:
         """
         payloads = list(payloads)
         if self.n_workers == 1 or len(payloads) <= 1:
-            # In-process: same batched semantics, no transport needed.
+            # In-process: same batched semantics, no process start.
             return SerialExecutor().map_specs(payloads, progress=progress)
 
         import multiprocessing
 
-        from repro.runtime import shm
-
-        prefix = shm.make_prefix() if self._shm_active() else None
         chunks = self._chunk_groups(group_payloads(payloads), len(payloads))
         context = (
             multiprocessing.get_context(self.mp_context)
@@ -741,7 +804,7 @@ class ProcessExecutor:
                 while True:
                     self._pool_pass(
                         chunks, payloads, results, trace,
-                        progress_queue, drain, context, prefix,
+                        progress_queue, drain, context,
                     )
                     leftovers = [
                         group
@@ -797,14 +860,11 @@ class ProcessExecutor:
         finally:
             if manager is not None:
                 manager.shutdown()
-            if prefix is not None:
-                shm.reap_prefix(prefix)
-                shm.reap_orphans()
+            _release_free_heap()
         return results
 
     def _pool_pass(
-        self, chunks, payloads, results, trace, progress_queue, drain,
-        context, prefix,
+        self, chunks, payloads, results, trace, progress_queue, drain, context,
     ) -> None:
         """One process-pool pass over ``chunks``, filling ``results`` in place.
 
@@ -817,8 +877,6 @@ class ProcessExecutor:
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.runtime import shm
-
         largest_group = max(
             (len(group) for chunk in chunks for group in chunk), default=1
         )
@@ -830,7 +888,7 @@ class ProcessExecutor:
             max_workers=min(self.n_workers, len(chunks)),
             mp_context=context,
             initializer=_worker_init,
-            initargs=(prefix, self.blas_threads_per_worker),
+            initargs=(self.blas_threads_per_worker,),
         )
         abandoned = False
         try:
@@ -866,7 +924,7 @@ class ProcessExecutor:
                         continue
                     indices = (i for group in chunk for i in group)
                     for index, outcome in zip(indices, outcomes):
-                        results[index] = shm.resolve_outcome(outcome)
+                        results[index] = _adopt_arrays(outcome)
                 if (
                     not abandoned
                     and stall_after is not None

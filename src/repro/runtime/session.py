@@ -208,10 +208,10 @@ class Session:
             ]
             # Executors that understand canonical run payloads (both built-in
             # executors, and anything else exposing ``map_specs``) get them
-            # raw: that is the seam where plan batching (and, in the pool,
-            # shared-memory result transport) lives.  A third-party executor
-            # with only ``map`` runs per point through ``execute_spec``, the
-            # oracle the batched path is differential-tested against.
+            # raw: that is the seam where plan batching lives.  A
+            # third-party executor with only ``map`` runs per point through
+            # ``execute_spec``, the oracle the batched path is
+            # differential-tested against.
             map_specs = getattr(self.executor, "map_specs", None)
             if map_specs is not None:
                 outcomes = map_specs(payloads, progress=self._progress)

@@ -228,7 +228,7 @@ class Daemon:
         if self.local_workers > 1:
             # Several worker threads share this process: a multi-threaded
             # BLAS underneath them would oversubscribe every core.
-            from repro.runtime.shm import pin_blas_threads
+            from repro.runtime.executor import pin_blas_threads
 
             pin_blas_threads(1)
         self._threads = [
@@ -690,9 +690,9 @@ class Daemon:
         Reports queue depth, worker presence, reaper lag (a wedged reaper
         means expired leases never re-queue), an actual cache writability
         probe (write + read back + unlink of a marker file in the cache
-        directory), shared-memory transport status, and the zero-defaulted
-        ``resilience.*`` counters.  ``healthy`` is the conjunction of the
-        hard conditions — degraded-but-working states (fallbacks counted,
+        directory), and the zero-defaulted ``resilience.*`` counters.
+        ``healthy`` is the conjunction of the hard conditions —
+        degraded-but-working states (fallbacks counted,
         retries happening) keep ``healthy: true`` with the evidence
         alongside, because degradation is survivable by design.
         """
@@ -714,8 +714,6 @@ class Daemon:
                 "local": self.local_workers,
             }
         cache_ok, cache_error = self._probe_cache_writable()
-        from repro.runtime import shm
-
         reaper_ok = reaper_lag < max(5.0, 10.0 * reaper_interval)
         snapshot = metrics.snapshot()
         return {
@@ -733,7 +731,6 @@ class Daemon:
                 "writable": cache_ok,
                 **({"error": cache_error} if cache_error else {}),
             },
-            "shm": {"enabled": shm.shm_enabled()},
             "resilience": _resilience_block(snapshot),
             "healthy": bool(cache_ok and reaper_ok and not self._stop.is_set()),
         }

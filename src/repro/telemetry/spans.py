@@ -1,7 +1,7 @@
 """Context-var span tracing with per-process JSON-lines trace files.
 
 A *span* is one timed region of the execution stack — a compile, a kernel
-evolution, a cache lookup, a shared-memory export.  Spans nest through a
+evolution, a cache lookup, a pool fan-out.  Spans nest through a
 :mod:`contextvars` variable, so every span records its parent and a whole
 sweep reconstructs as a tree: ``session.execute`` → ``pool.map_specs`` →
 ``execute.point`` → ``execute.evolve`` → ``compile.build`` — across process

@@ -1,19 +1,18 @@
-"""Deprecation shims: old entry points warn but produce identical circuits."""
+"""Legacy builders: the raw ``repro.core`` entry points match the pipeline."""
 
 from __future__ import annotations
+
+import importlib.util
 
 import numpy as np
 import pytest
 
 import repro
+import repro.core
 from repro.circuits.unitary import circuit_unitary
 from repro.compile.pipeline import compile_problem
 from repro.compile.problem import SimulationProblem
-from repro.core import (
-    direct_hamiltonian_simulation,
-    evolve_term,
-    pauli_hamiltonian_simulation,
-)
+from repro.core import direct_hamiltonian_simulation, pauli_hamiltonian_simulation
 from repro.operators.hamiltonian import Hamiltonian
 from repro.operators.scb_term import SCBTerm
 
@@ -24,45 +23,34 @@ def hamiltonian() -> Hamiltonian:
 
 
 class TestTopLevelShimsWarn:
-    def test_evolve_term_warns_and_matches_core(self):
-        term = SCBTerm.from_label("nsd", 0.8)
-        with pytest.warns(DeprecationWarning, match="repro.evolve_term"):
-            shimmed = repro.evolve_term(term, 0.37)
-        direct = evolve_term(term, 0.37)
-        np.testing.assert_allclose(
-            circuit_unitary(shimmed), circuit_unitary(direct), atol=1e-12
-        )
-
-    def test_direct_hamiltonian_simulation_warns(self, hamiltonian):
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            shimmed = repro.direct_hamiltonian_simulation(hamiltonian, 0.2)
-        reference = direct_hamiltonian_simulation(hamiltonian, 0.2)
-        np.testing.assert_allclose(
-            circuit_unitary(shimmed), circuit_unitary(reference), atol=1e-12
-        )
-
-    def test_pauli_hamiltonian_simulation_warns(self, hamiltonian):
-        operator = hamiltonian.to_pauli()
-        with pytest.warns(DeprecationWarning):
-            shimmed = repro.pauli_hamiltonian_simulation(
-                operator, 0.2, num_qubits=hamiltonian.num_qubits
-            )
-        reference = pauli_hamiltonian_simulation(
-            operator, 0.2, num_qubits=hamiltonian.num_qubits
-        )
-        np.testing.assert_allclose(
-            circuit_unitary(shimmed), circuit_unitary(reference), atol=1e-12
-        )
-
-    def test_block_encoding_shims_warn(self, hamiltonian):
-        with pytest.warns(DeprecationWarning):
-            encoding = repro.hamiltonian_block_encoding(hamiltonian)
-        assert encoding.scale > 0
-
     def test_core_imports_do_not_warn(self, hamiltonian, recwarn):
         direct_hamiltonian_simulation(hamiltonian, 0.2)
         deprecations = [w for w in recwarn if w.category is DeprecationWarning]
         assert not deprecations
+
+
+class TestDeprecatedAliasesRemoved:
+    """The top-level aliases are gone; ``repro.core`` keeps the builders."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "evolve_term",
+            "evolve_fragment",
+            "direct_hamiltonian_simulation",
+            "pauli_hamiltonian_simulation",
+            "hamiltonian_block_encoding",
+            "fragment_block_encoding",
+            "term_lcu_decomposition",
+        ],
+    )
+    def test_alias_lives_only_in_core(self, name):
+        assert not hasattr(repro, name)
+        assert name not in repro.__all__
+        assert callable(getattr(repro.core, name))
+
+    def test_deprecation_module_is_gone(self):
+        assert importlib.util.find_spec("repro._deprecation") is None
 
 
 class TestShimEquivalenceWithPipeline:

@@ -1,12 +1,11 @@
 """Certification: faulted 16-point sweeps are bit-identical to clean serial runs.
 
 Two stacks, same claim.  The pool certification injects a SIGKILLed worker
-and shared-memory exhaustion under the resilient :class:`ProcessExecutor`;
-the service certification runs a daemon plus two *subprocess* workers with a
-SIGKILLed worker, a torn cache write and injected client disconnects.  In
-both, the final results must match a fault-free serial run bit for bit, no
-shared-memory segment may leak, and the resilience counters must show the
-faults actually fired.
+under the resilient :class:`ProcessExecutor`; the service certification runs
+a daemon plus two *subprocess* workers with a SIGKILLed worker, a torn
+cache write and injected client disconnects.  In both, the final results
+must match a fault-free serial run bit for bit, no ``/dev/shm`` segment may
+leak, and the resilience counters must show the faults actually fired.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ def test_pool_chaos_certification(tmp_path, monkeypatch):
     monkeypatch.setenv(
         "REPRO_FAULTS",
         f"state={state};seed=3;"
-        "worker.execute:kill@once;"
-        "shm.export:raise=ENOSPC@every=2",
+        "worker.execute:kill@once",
     )
     executor = ProcessExecutor(2, point_timeout=10.0, max_restarts=2)
     outcomes = executor.map_specs(payloads)

@@ -1,17 +1,15 @@
-"""Graceful degradation: cache failures recompute, shm exhaustion re-pickles."""
+"""Graceful degradation: cache failures recompute instead of failing."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import pytest
 
 from repro.resilience import configure_faults
 from repro.runtime import Session
 from repro.runtime.cache import MISS, ResultCache
 from repro.runtime.results import encode_result
-from repro.runtime import shm
 from repro.telemetry import metrics
 
 from _chaos_helpers import make_problem
@@ -84,29 +82,6 @@ class TestCacheGetDegradation:
         npz.write_bytes(b"truncated garbage")
         assert cache.get(KEY, MISS) is MISS
         assert metrics.counter("resilience.fallbacks") == 1
-
-
-class TestShmDegradation:
-    def test_export_exhaustion_falls_back_to_pickle(self):
-        if not shm.shm_enabled():
-            pytest.skip("shared-memory transport unavailable")
-        prefix = shm.make_prefix()
-        shm.activate_worker(prefix)
-        try:
-            big = np.arange(float(shm.min_shm_bytes() // 8 + 16))
-            outcome = {"ok": True, "result": {"kind": "ndarray"},
-                       "arrays": {"data": big}}
-            configure_faults("shm.export:raise=ENOSPC")
-            exported = shm.export_outcome(outcome)
-        finally:
-            shm.activate_worker(None)
-            shm.reap_prefix(prefix)
-        # The array rode the pickle pipe instead of a segment — same bytes.
-        assert not shm.is_ref(exported["arrays"]["data"])
-        np.testing.assert_array_equal(exported["arrays"]["data"], big)
-        assert metrics.counter("shm.export_fallbacks") == 1
-        assert metrics.counter("resilience.fallbacks") == 1
-        assert metrics.counter("shm.segments_exported") == 0
 
 
 class TestSessionDegradation:

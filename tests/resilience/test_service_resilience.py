@@ -123,3 +123,13 @@ def test_cli_health_subcommand(make_daemon, capsys):
     assert main(["health", "--socket", str(daemon.socket_path)]) == 0
     text = capsys.readouterr().out
     assert "healthy" in text and "resilience" in text
+
+
+def test_health_has_no_shm_block(make_daemon, capsys):
+    from repro.service.cli import main
+
+    daemon = make_daemon()
+    assert "shm" not in ServiceClient(daemon.socket_path).health()
+    assert main(["health", "--socket", str(daemon.socket_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.startswith("shm")]

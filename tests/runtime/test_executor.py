@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
+import numpy as np
 import pytest
 
 import repro
@@ -11,6 +15,7 @@ from repro.runtime import (
     RunSpec,
     SerialExecutor,
     execute_spec,
+    pin_blas_threads,
     resolve_executor,
 )
 
@@ -67,6 +72,8 @@ class TestProcessExecutor:
             ProcessExecutor(0)
         with pytest.raises(SpecError):
             ProcessExecutor(2, chunk_size=0)
+        with pytest.raises(SpecError):
+            ProcessExecutor(2, blas_threads_per_worker=0)
 
 
 class TestResolveExecutor:
@@ -331,9 +338,25 @@ class TestMapSpecs:
     def test_pool_matches_per_point_map(self):
         import numpy as np
 
-        payloads = self.payloads()
+        # Beyond the batched points: a failing point among good ones, and a
+        # 10-qubit kernel state (16 KiB) crossing the pool's result pipe.
+        ten_qubits = repro.SimulationProblem.from_labels(
+            10, {"nsdIIIIIII": 0.8, "IIZZIIIIXI": 0.3}, time=0.3
+        )
+        payloads = self.payloads() + [
+            RunSpec(
+                problem=problem(), backend="sampling", run_kwargs={"shots": -1}
+            ).to_dict(canonical=True),
+            RunSpec(
+                problem=ten_qubits, backend="kernel", run_kwargs={"initial_state": 3}
+            ).to_dict(canonical=True),
+        ]
         reference = [execute_spec(p) for p in payloads]
+        assert reference[-1]["arrays"]["data"].nbytes >= 1 << 14
         outcomes = ProcessExecutor(2, chunk_size=2).map_specs(payloads)
+        bad = outcomes.pop(-2)
+        assert bad["ok"] is False
+        assert bad["error"]["type"] == reference.pop(-2)["error"]["type"]
         for fused, ref in zip(outcomes, reference):
             assert fused["ok"] and ref["ok"]
             if ref["result"]["kind"] == "sampling":
@@ -356,13 +379,6 @@ class TestMapSpecs:
         groups = [[0, 1, 2], [3], [4, 5]]
         chunks = executor._chunk_groups(groups, 6)
         assert chunks == [[[0, 1, 2]], [[3], [4, 5]]]
-
-    def test_use_shm_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        with pytest.raises(SpecError, match="use_shm"):
-            ProcessExecutor(2, use_shm=True)
-        with pytest.raises(SpecError):
-            ProcessExecutor(2, blas_threads_per_worker=0)
 
 
 class TestRunGroups:
@@ -423,6 +439,109 @@ class TestWorkerHygiene:
     def test_pool_workers_pin_blas_threads(self):
         values = ProcessExecutor(2, chunk_size=1).map(_read_blas_env, [0, 1, 2])
         assert values == ["1", "1", "1"]
+
+    def test_pool_workers_honour_a_custom_cap(self):
+        pool = ProcessExecutor(2, chunk_size=1, blas_threads_per_worker=2)
+        assert pool.map(_read_blas_env, [0, 1, 2]) == ["2", "2", "2"]
+
+
+def _pin_and_read(n):
+    from repro.runtime.executor import BLAS_ENV_VARS
+
+    pin_blas_threads(n)
+    return sorted({os.environ[var] for var in BLAS_ENV_VARS})
+
+
+class TestPinBlasThreads:
+    # Pinning runs inside pool workers so this process keeps its BLAS setup.
+    def test_sets_every_environment_knob(self):
+        pool = ProcessExecutor(2, chunk_size=1)
+        assert pool.map(_pin_and_read, [3, 5]) == [["3"], ["5"]]
+
+    def test_clamps_to_one_thread(self):
+        pool = ProcessExecutor(2, chunk_size=1)
+        assert pool.map(_pin_and_read, [0, -4]) == [["1"], ["1"]]
+
+    def test_public_name_is_the_executor_function(self):
+        from repro.runtime import executor
+
+        assert pin_blas_threads is executor.pin_blas_threads
+
+
+def _dev_shm_entries() -> set[str]:
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:  # pragma: no cover - no /dev/shm on this platform
+        return set()
+    # Pool semaphores live here only between create and unlink.
+    return {name for name in names if not name.startswith("sem.")}
+
+
+class TestResultPipe:
+    """Pool outcomes, arrays included, come home through the result pipe."""
+
+    @staticmethod
+    def kernel_payloads(num_qubits, states=(0, 3)):
+        labels = {
+            "nsd" + "I" * (num_qubits - 3): 0.8,
+            "I" * (num_qubits - 2) + "ZZ": 0.3,
+        }
+        target = repro.SimulationProblem.from_labels(num_qubits, labels, time=0.3)
+        return [
+            RunSpec(
+                problem=target, backend="kernel", run_kwargs={"initial_state": s}
+            ).to_dict(canonical=True)
+            for s in states
+        ]
+
+    @pytest.mark.parametrize("num_qubits", [3, 7, 10])
+    def test_kernel_states_round_trip_bit_exactly(self, num_qubits):
+        payloads = self.kernel_payloads(num_qubits)
+        reference = [execute_spec(p) for p in payloads]
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+        for fused, ref in zip(outcomes, reference):
+            assert fused["ok"]
+            data = fused["arrays"]["data"]
+            assert data.dtype == ref["arrays"]["data"].dtype
+            assert data.nbytes == 16 << num_qubits
+            assert np.array_equal(data, ref["arrays"]["data"])
+
+    def test_returned_arrays_are_writable(self):
+        outcomes = ProcessExecutor(2).map_specs(self.kernel_payloads(10))
+        data = outcomes[0]["arrays"]["data"]
+        assert data.flags.writeable
+        data[0] = 0.0  # a live segment mapping would be read-only or freed
+
+    @pytest.mark.parametrize(
+        "env",
+        [{}, {"REPRO_SHM": "1", "REPRO_SHM_MIN_BYTES": "0"}],
+        ids=["default", "old-shm-settings"],
+    )
+    def test_sweep_leaves_nothing_in_dev_shm(self, monkeypatch, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        before = _dev_shm_entries()
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(
+            self.kernel_payloads(10, states=(0, 1, 2, 3))
+        )
+        assert all(outcome["ok"] for outcome in outcomes)
+        assert _dev_shm_entries() <= before
+
+    def test_use_shm_argument_is_gone(self):
+        with pytest.raises(TypeError, match="use_shm"):
+            ProcessExecutor(2, use_shm=True)
+
+    def test_shm_module_is_gone(self):
+        assert importlib.util.find_spec("repro.runtime.shm") is None
+
+    @pytest.mark.parametrize(
+        "name", ["SHM_ENV", "SHM_MIN_BYTES_ENV", "shm_enabled", "reap_orphans"]
+    )
+    def test_shm_names_are_not_exported(self, name):
+        import repro.runtime
+
+        assert not hasattr(repro.runtime, name)
+        assert name not in repro.runtime.__all__
 
 
 # ---------------------------------------------------------------------------

@@ -131,13 +131,21 @@ class TestFleetOps:
         out = capsys.readouterr().out
         assert "cli-worker" in out and "2 points" in out
 
-    def test_stats_watch_redraws(self, make_daemon, capsys):
+    def test_stats_polls_once(self, make_daemon, capsys):
         daemon = make_daemon(local_workers=0)
-        socket_args = ["--socket", str(daemon.socket_path)]
-        assert main(["stats", "--watch", "0.01", "--count", "3", *socket_args]) == 0
+        assert main(["stats", "--socket", str(daemon.socket_path)]) == 0
         out = capsys.readouterr().out
-        assert out.count("daemon pid") == 3
-        assert out.count("\x1b[2J\x1b[H") == 2  # redraw between polls, not before
+        assert out.count("daemon pid") == 1
+        assert "\x1b[2J" not in out  # no screen redraw: `top` owns that
+
+    @pytest.mark.parametrize(
+        "flags", [["--watch", "0.01"], ["--count", "3"]], ids=["watch", "count"]
+    )
+    def test_stats_rejects_the_removed_watch_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stats_includes_phase_split_after_work(self, served, service_env,
                                                    capsys):
