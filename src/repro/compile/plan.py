@@ -30,10 +30,18 @@ Z-support (w small) and broadcast over the full register; diagonal fragments
 (``x == 0``) collapse to a single element-wise phase, and consecutive
 diagonal groups are merged into one table at bake time.
 
-Plans are built once and cached on the
+Lowering has two halves.  The Hamiltonian-only half — each fragment's
+``(x, z, phase, coefficient)`` strings, the refusal checks and every group's
+table structure (:class:`_GroupLayout`: its sign mask, support axes and ±1
+sign rows) — depends on the term layout alone, so it is built once per
+(as-written Hamiltonian, strategy) and memoized per process
+(:data:`_LOWER_MEMO`).  The time-dependent half scales those strings into
+``theta = coefficient · fraction · dt`` per schedule visit and bakes the
+angle tables; it runs once per program, and the plan is cached on the
 :class:`~repro.compile.program.CompiledProgram`, so Trotter steps,
 ``run_many`` initial-state sweeps and error-curve points all reuse the same
-baked tables.
+baked tables.  A sweep over ``time`` or ``steps`` thus re-derives no Pauli
+decomposition, mask or sign table.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ import numpy as np
 
 from repro.circuits.pauli_kernels import pauli_masks
 from repro.exceptions import CompileError
+from repro.telemetry import metrics
+from repro.utils.memo import LRUMemo
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compile.problem import SimulationProblem
@@ -63,6 +73,17 @@ _MAX_MERGED_DIAGONAL_BITS = 18
 #: transition/number qubits; the common sign is applied at run time from the
 #: shared basis-index cache.
 _MAX_TABLE_BITS = 14
+
+#: Largest ±1 sign table a group layout keeps (rotations × 2^w entries of
+#: 8 bytes: 256 KiB).  Layouts live in :data:`_LOWER_MEMO`, so a bigger
+#: group recomputes its rows at bake time instead of pinning them.
+_MAX_KEPT_SIGNS = 1 << 15
+
+#: Per-process memo of the Hamiltonian-only half of lowering, keyed on
+#: (Hamiltonian order key, strategy, ``complex_mode == "trotter_split"``);
+#: a refusal is memoized as its :class:`PlanLoweringError`.  Sized like the
+#: runtime's program memo.
+_LOWER_MEMO = LRUMemo(32)
 
 
 class PlanLoweringError(CompileError):
@@ -101,6 +122,87 @@ class _PairOp(NamedTuple):
     #: time (ops are cached on the plan, so every step and sweep reuses it);
     #: None when sign_mask == 0.
     sign_parity: "np.ndarray | None" = None
+
+
+class _GroupLayout(NamedTuple):
+    """The time-independent structure of one group's executor op.
+
+    The group acts as ``(H·ψ)[k] = e(k)·ψ[k ^ x_mask]`` with
+    ``e(k) = (-1)^{parity(k & sign_mask)} · f(k restricted to axes)`` and
+    ``f = Σ_j theta_j·phase_j·signs[j]``: only the ``theta_j`` depend on the
+    evolution time.
+    """
+
+    x_mask: int
+    sign_mask: int
+    axes: tuple[int, ...]
+    #: Broadcast shape of a support table: 2 on ``axes``, 1 elsewhere.
+    shape: tuple[int, ...]
+    #: Slice tuple realising ``ψ[k ^ x_mask]`` as a strided view.
+    flip: tuple
+    #: Each rotation's residual Z mask compressed onto ``axes``.
+    compressed: tuple[int, ...]
+    #: ``(rotations, 2^w)`` ±1 rows, or None past :data:`_MAX_KEPT_SIGNS`.
+    signs: "np.ndarray | None"
+
+    def sign_rows(self):
+        """Each rotation's ±1 row ``(-1)^{parity(pattern & compressed)}``."""
+        if self.signs is not None:
+            return self.signs
+        patterns = np.arange(1 << len(self.axes))
+        return (
+            np.where(_parity_of(patterns & compressed), -1.0, 1.0)
+            for compressed in self.compressed
+        )
+
+    def angles(self, group: "tuple[MaskRotation, ...]") -> np.ndarray:
+        """The support table ``f`` of ``group``'s angles."""
+        f = np.zeros(1 << len(self.axes), dtype=complex)
+        for rotation, signs in zip(group, self.sign_rows()):
+            f = f + (rotation.theta * rotation.phase) * signs
+        return f
+
+    def broadcast(self, table: np.ndarray) -> np.ndarray:
+        """Reshape a 2^w support table so it broadcasts over the register."""
+        return np.ascontiguousarray(table).reshape(self.shape)
+
+
+def _group_layout(num_qubits: int, x_mask: int, z_masks) -> _GroupLayout:
+    """The :class:`_GroupLayout` of a group's shared X mask and its Z masks.
+
+    ``sign_mask`` is nonzero only when the full Z-support would overflow
+    :data:`_MAX_TABLE_BITS` — the :func:`_factor_z_masks` policy.
+    """
+    n = num_qubits
+    sign_mask, union = _factor_z_masks(z_masks)
+    axes = tuple(q for q in range(n) if (union >> (n - 1 - q)) & 1)
+    width = len(axes)
+    compressed = []
+    for z_mask in z_masks:
+        residual = z_mask & ~sign_mask
+        bits = 0
+        for position, qubit in enumerate(axes):
+            if (residual >> (n - 1 - qubit)) & 1:
+                bits |= 1 << (width - 1 - position)
+        compressed.append(bits)
+    signs = None
+    if len(compressed) << width <= _MAX_KEPT_SIGNS:
+        patterns = np.arange(1 << width)
+        masks = np.array(compressed, dtype=patterns.dtype)[:, None]
+        signs = np.where(_parity_of(patterns & masks), -1.0, 1.0)
+        signs.setflags(write=False)
+    return _GroupLayout(
+        x_mask,
+        sign_mask,
+        axes,
+        tuple(2 if q in axes else 1 for q in range(n)),
+        tuple(
+            slice(None, None, -1) if (x_mask >> (n - 1 - q)) & 1 else slice(None)
+            for q in range(n)
+        ),
+        tuple(compressed),
+        signs,
+    )
 
 
 def _parity_tensor(num_qubits: int, mask: int) -> np.ndarray:
@@ -157,6 +259,9 @@ class EvolutionPlan:
     #: analogue of ``QuantumCircuit.global_phase``).
     step_phase: float = 0.0
     strategy: str = "direct"
+    #: One :class:`_GroupLayout` per step group, shared through the lowering
+    #: memo; None (a hand-built plan) derives them at bake time.
+    _layouts: "tuple | None" = field(default=None, repr=False, compare=False)
     _ops: "list | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -171,54 +276,25 @@ class EvolutionPlan:
 
     # ----------------------------------------------------------------- baking
 
-    def _angle_table(self, group: tuple[MaskRotation, ...]):
-        """Factor the group's angle function ``e(k)`` into sign × small table.
-
-        Returns ``(sign_mask, axes, f)`` with
-        ``e(k) = (-1)^{parity(k & sign_mask)} · f(k restricted to axes)``.
-        ``sign_mask`` is nonzero only when the full Z-support would overflow
-        :data:`_MAX_TABLE_BITS` — the :func:`_factor_z_masks` policy.
-        """
-        n = self.num_qubits
-        sign_mask, union = _factor_z_masks([rotation.z_mask for rotation in group])
-        axes = tuple(q for q in range(n) if (union >> (n - 1 - q)) & 1)
-        width = len(axes)
-        patterns = np.arange(1 << width)
-        f = np.zeros(1 << width, dtype=complex)
-        for rotation in group:
-            residual = rotation.z_mask & ~sign_mask
-            compressed = 0
-            for position, qubit in enumerate(axes):
-                if (residual >> (n - 1 - qubit)) & 1:
-                    compressed |= 1 << (width - 1 - position)
-            signs = np.where(_parity_of(patterns & compressed), -1.0, 1.0)
-            f = f + (rotation.theta * rotation.phase) * signs
-        return sign_mask, axes, f
-
-    def _broadcast(self, axes: tuple[int, ...], table: np.ndarray) -> np.ndarray:
-        """Reshape a 2^w support table so it broadcasts over the register."""
-        shape = tuple(2 if q in axes else 1 for q in range(self.num_qubits))
-        return np.ascontiguousarray(table).reshape(shape)
-
-    def _bake_group(self, group: tuple[MaskRotation, ...], parities: dict):
-        n = self.num_qubits
-        x_mask = group[0].x_mask
-        sign_mask, axes, f = self._angle_table(group)
+    def _bake_group(
+        self, group: tuple[MaskRotation, ...], layout: _GroupLayout, parities: dict
+    ):
+        sign_mask = layout.sign_mask
+        f = layout.angles(group)
         if sign_mask and sign_mask not in parities:
-            parities[sign_mask] = _parity_tensor(n, sign_mask)
+            parities[sign_mask] = _parity_tensor(self.num_qubits, sign_mask)
         sign_parity = parities.get(sign_mask) if sign_mask else None
-        identity_flip = (slice(None),) * n
-        if x_mask == 0 and sign_mask == 0:
+        if layout.x_mask == 0 and sign_mask == 0:
             # Diagonal fragment: exp(-i·f(k)) element-wise.  f is real here
             # (no Y factors without X), so this is a pure phase table.
-            return _DiagonalOp(self._broadcast(axes, np.exp(-1j * f.real)))
-        if x_mask == 0:
+            return _DiagonalOp(layout.broadcast(np.exp(-1j * f.real)))
+        if layout.x_mask == 0:
             # Wide diagonal with a factored sign: exp(-i·s·f) = cos f − i·s·sin f,
             # which is a pair op whose "flip" is the identity.
             return _PairOp(
-                identity_flip,
-                self._broadcast(axes, np.cos(f.real)),
-                self._broadcast(axes, -1j * np.sin(f.real)),
+                layout.flip,
+                layout.broadcast(np.cos(f.real)),
+                layout.broadcast(-1j * np.sin(f.real)),
                 sign_mask,
                 sign_parity,
             )
@@ -227,14 +303,10 @@ class EvolutionPlan:
         with np.errstate(invalid="ignore", divide="ignore"):
             sinc = np.where(magnitude > 0.0, np.sin(magnitude) / magnitude, 0.0)
         table_b = -1j * f * sinc
-        flip = tuple(
-            slice(None, None, -1) if (x_mask >> (n - 1 - q)) & 1 else slice(None)
-            for q in range(n)
-        )
         return _PairOp(
-            flip,
-            self._broadcast(axes, table_a),
-            self._broadcast(axes, table_b),
+            layout.flip,
+            layout.broadcast(table_a),
+            layout.broadcast(table_b),
             sign_mask,
             sign_parity,
         )
@@ -253,8 +325,16 @@ class EvolutionPlan:
             ops: list = []
             pending: np.ndarray | None = None  # accumulated diagonal table
             parities: dict = {}  # sign_mask -> parity tensor, deduped per plan
-            for group in self.step_groups:
-                op = self._bake_group(group, parities)
+            layouts = self._layouts or tuple(
+                _group_layout(
+                    self.num_qubits,
+                    group[0].x_mask,
+                    [rotation.z_mask for rotation in group],
+                )
+                for group in self.step_groups
+            )
+            for group, layout in zip(self.step_groups, layouts):
+                op = self._bake_group(group, layout, parities)
                 if isinstance(op, _DiagonalOp):
                     if pending is None:
                         pending = op.table
@@ -452,6 +532,76 @@ def _fragment_masks(pauli_operator) -> list[tuple[int, int, complex, float]]:
     return lowered
 
 
+def _fragments(problem: "SimulationProblem", strategy: str) -> list:
+    """The strategy's fragments as ``(x, z, phase, coefficient)`` lists.
+
+    Raises :class:`PlanLoweringError` for a fragment with no mask-plan
+    representation (see :func:`lower_problem`).
+    """
+    if strategy == "pauli":
+        # One single-string group per Pauli term, in pauli_fragments() order.
+        return [[entry] for entry in _fragment_masks(problem.pauli_operator())]
+    fragments = []
+    split_mode = problem.options.complex_mode == "trotter_split"
+    for fragment in problem.hamiltonian.hermitian_fragments():
+        term = fragment.term
+        if (
+            split_mode
+            and fragment.include_hc
+            and abs(complex(term.coefficient).imag) > 1e-12
+            and term.transition_qubits
+        ):
+            raise PlanLoweringError(
+                f"fragment {term.label!r} with a complex coefficient under "
+                "complex_mode='trotter_split' carries a deliberate "
+                "splitting error the exact mask plan would not reproduce"
+            )
+        entries = _fragment_masks(fragment.to_pauli())
+        if len({x for x, _, _, _ in entries}) > 1:
+            raise PlanLoweringError(
+                f"fragment {term.label!r} decomposes into strings with "
+                "mixed X masks; not a single permutation-diagonal block"
+            )
+        _check_table_width(entries, term.label)
+        fragments.append(entries)
+    return fragments
+
+
+def _fragment_layout(num_qubits: int, entries) -> "_GroupLayout | None":
+    """Layout of the group a fragment's non-identity strings form, if any."""
+    strings = [(x_mask, z_mask) for x_mask, z_mask, _, _ in entries if x_mask or z_mask]
+    if not strings:
+        return None
+    return _group_layout(num_qubits, strings[0][0], [z_mask for _, z_mask in strings])
+
+
+def _lowered_structure(problem: "SimulationProblem", strategy: str) -> tuple:
+    """The Hamiltonian-only half of lowering, memoized in :data:`_LOWER_MEMO`.
+
+    Returns one ``(entries, layout)`` pair per fragment: its strings and the
+    :class:`_GroupLayout` of its non-identity strings (``None`` when it has
+    none).  A refusal raises, memoized or not.
+    """
+    split_mode = problem.options.complex_mode == "trotter_split"
+    key = (problem.hamiltonian.order_key(), strategy, split_mode)
+    structure = _LOWER_MEMO.get(key)
+    if structure is None:
+        metrics.incr("compile.lower_memo_misses")
+        try:
+            structure = tuple(
+                (tuple(entries), _fragment_layout(problem.num_qubits, entries))
+                for entries in _fragments(problem, strategy)
+            )
+        except PlanLoweringError as exc:
+            structure = PlanLoweringError(*exc.args)  # kept without its frames
+        _LOWER_MEMO.put(key, structure)
+    else:
+        metrics.incr("compile.lower_memo_hits")
+    if isinstance(structure, PlanLoweringError):
+        raise PlanLoweringError(*structure.args)
+    return structure
+
+
 def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
     """Lower a problem's Trotter schedule for the given evolution strategy.
 
@@ -460,49 +610,23 @@ def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
     share an X mask (impossible for SCB terms, checked defensively), or the
     ``complex_mode="trotter_split"`` option paired with complex transition
     coefficients (there the circuit intentionally carries a splitting error
-    the exact plan would not reproduce).
+    the exact plan would not reproduce).  Everything but the angles comes
+    from :func:`_lowered_structure`.
     """
     if strategy not in LOWERABLE_STRATEGIES:
         raise PlanLoweringError(
             f"strategy {strategy!r} does not lower to a mask plan "
             f"(supported: {', '.join(LOWERABLE_STRATEGIES)})"
         )
-
-    fragments: list[list[tuple[int, int, complex, float]]] = []
-    if strategy == "pauli":
-        # One single-string group per Pauli term, in pauli_fragments() order.
-        for entry in _fragment_masks(problem.pauli_operator()):
-            fragments.append([entry])
-    else:
-        split_mode = problem.options.complex_mode == "trotter_split"
-        for fragment in problem.hamiltonian.hermitian_fragments():
-            term = fragment.term
-            if (
-                split_mode
-                and fragment.include_hc
-                and abs(complex(term.coefficient).imag) > 1e-12
-                and term.transition_qubits
-            ):
-                raise PlanLoweringError(
-                    f"fragment {term.label!r} with a complex coefficient under "
-                    "complex_mode='trotter_split' carries a deliberate "
-                    "splitting error the exact mask plan would not reproduce"
-                )
-            entries = _fragment_masks(fragment.to_pauli())
-            if len({x for x, _, _, _ in entries}) > 1:
-                raise PlanLoweringError(
-                    f"fragment {term.label!r} decomposes into strings with "
-                    "mixed X masks; not a single permutation-diagonal block"
-                )
-            _check_table_width(entries, term.label)
-            fragments.append(entries)
-
+    fragments = _lowered_structure(problem, strategy)
     dt = problem.time / problem.steps
     groups: list[tuple[MaskRotation, ...]] = []
+    layouts = []
     step_phase = 0.0
     for index, fraction in _merged_schedule(len(fragments), problem.order):
+        entries, layout = fragments[index]
         group = []
-        for x_mask, z_mask, phase, coefficient in fragments[index]:
+        for x_mask, z_mask, phase, coefficient in entries:
             theta = coefficient * fraction * dt
             if x_mask == 0 and z_mask == 0:
                 step_phase -= theta
@@ -510,10 +634,12 @@ def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
                 group.append(MaskRotation(x_mask, z_mask, phase, theta))
         if group:
             groups.append(tuple(group))
+            layouts.append(layout)
     return EvolutionPlan(
         num_qubits=problem.num_qubits,
         steps=problem.steps,
         step_groups=tuple(groups),
         step_phase=step_phase,
         strategy=strategy,
+        _layouts=tuple(layouts),
     )

@@ -9,6 +9,7 @@ block-encoding of Section IV works with.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -20,6 +21,13 @@ from repro.exceptions import OperatorError
 from repro.operators.conversion import scb_term_to_pauli
 from repro.operators.pauli import PauliOperator
 from repro.operators.scb_term import SCBTerm
+from repro.utils.memo import LRUMemo
+
+#: Parses interned by :meth:`Hamiltonian.from_dict`, keyed on the payload's
+#: JSON text: ``(terms, derived values)``.  A runtime sweep hands every grid
+#: point the same Hamiltonian payload, so its terms are parsed, and its keys
+#: and term dicts derived, once.
+_PARSED = LRUMemo(32)
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,13 @@ class Hamiltonian:
         self.num_qubits = int(num_qubits)
         self._terms: list[SCBTerm] = []
         self._evolve_matrix: sp.spmatrix | None = None
-        # Mutation counter: bumped by every add_term so derived caches — the
-        # CSC evolution matrix above and content_key() below — can never go
-        # stale on an in-place edit.
+        # Mutation counter, bumped by every add_term.
         self._version = 0
-        self._content_key: tuple[int, str] | None = None
+        # Values derived from the terms alone (content keys, serialized term
+        # dicts).  add_term *replaces* the dict, so an in-place edit never
+        # serves a stale value, and a Hamiltonian sharing the dict with
+        # other parses of one payload (see from_dict) detaches from them.
+        self._derived: dict = {}
         for term in terms:
             self.add_term(term)
 
@@ -105,6 +115,7 @@ class Hamiltonian:
         if abs(term.coefficient) > 1e-15:
             self._terms.append(term)
             self._evolve_matrix = None
+            self._derived = {}
             self._version += 1
         return self
 
@@ -161,23 +172,45 @@ class Hamiltonian:
         :meth:`content_key` hashes and the form the runtime layer executes,
         so that any two Hamiltonians with equal content keys produce
         bit-identical results.  The default preserves the as-written term
-        order (term order matters to the Trotter product).
+        order (term order matters to the Trotter product).  The term dicts
+        are built once per mutation and copied out, so the returned payload
+        is the caller's to modify.
         """
-        terms = self._terms
-        if canonical:
-            terms = sorted(terms, key=lambda t: t.sort_key())
+        name = "canonical_terms" if canonical else "terms"
+        terms = self._derived.get(name)
+        if terms is None:
+            ordered = self.canonical() if canonical else self
+            terms = self._derived[name] = tuple(term.to_dict() for term in ordered)
         return {
             "num_qubits": self.num_qubits,
-            "terms": [term.to_dict() for term in terms],
+            "terms": [dict(term, coefficient=list(term["coefficient"])) for term in terms],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Hamiltonian":
-        """Inverse of :meth:`to_dict` (term order preserved as serialized)."""
-        return cls(
+        """Inverse of :meth:`to_dict` (term order preserved as serialized).
+
+        Parses are interned per payload text (:data:`_PARSED`): a repeated
+        payload reuses the parsed terms (frozen, so safe to share) and the
+        derived keys and term dicts.  Every call still returns a new
+        Hamiltonian, and an ``add_term`` on it cannot reach the next parse.
+        """
+        try:
+            text = json.dumps(payload, sort_keys=True)
+        except (TypeError, ValueError):  # not JSON-able: parse uninterned
+            text = None
+        entry = None if text is None else _PARSED.get(text)
+        if entry is not None:
+            hamiltonian = cls(payload["num_qubits"], entry[0])
+            hamiltonian._derived = entry[1]
+            return hamiltonian
+        hamiltonian = cls(
             payload["num_qubits"],
             (SCBTerm.from_dict(term) for term in payload["terms"]),
         )
+        if text is not None:
+            _PARSED.put(text, (hamiltonian.terms, hamiltonian._derived))
+        return hamiltonian
 
     def canonical(self) -> "Hamiltonian":
         """Copy with terms in canonical sorted order (same content key)."""
@@ -188,16 +221,27 @@ class Hamiltonian:
     def content_key(self) -> str:
         """Stable content hash of the canonical form.
 
-        Invariant under term reordering, invalidated by :meth:`add_term`
-        (the cached digest is keyed on the internal mutation counter, so an
-        in-place edit can never serve a stale key).
+        Invariant under term reordering, invalidated by :meth:`add_term`.
         """
+        return self._digest("content_key", canonical=True, tag="hamiltonian")
+
+    def order_key(self) -> str:
+        """Stable content hash of the as-written form: term order counts.
+
+        :meth:`content_key` ignores term order, the Trotter product does
+        not, so memos of what is built from the product (compiled programs,
+        lowered plans) key on this digest.  Invalidated by :meth:`add_term`.
+        """
+        return self._digest("order_key", canonical=False, tag="hamiltonian-terms")
+
+    def _digest(self, name: str, *, canonical: bool, tag: str) -> str:
         from repro.utils.serialization import content_hash
 
-        if self._content_key is None or self._content_key[0] != self._version:
-            digest = content_hash(self.to_dict(canonical=True), tag="hamiltonian")
-            self._content_key = (self._version, digest)
-        return self._content_key[1]
+        digest = self._derived.get(name)
+        if digest is None:
+            digest = content_hash(self.to_dict(canonical=canonical), tag=tag)
+            self._derived[name] = digest
+        return digest
 
     # ----------------------------------------------------------- fragmentation
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,8 +63,11 @@ class SCBTerm:
     def num_qubits(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def label(self) -> str:
+        # Cached in the instance dict (the frozen dataclass's fields are
+        # immutable, so the label can never go stale): serialization, sort
+        # keys and content keys ask for it once per term per call.
         return "".join(op.label for op in self.factors)
 
     def __str__(self) -> str:

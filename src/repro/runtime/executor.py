@@ -32,6 +32,7 @@ from repro.exceptions import SpecError
 from repro.resilience import fault_point
 from repro.resilience import reset_process as _reset_fault_state
 from repro.telemetry import current_trace_context, metrics, span, trace_context
+from repro.utils.memo import LRUMemo
 
 logger = logging.getLogger("repro.runtime.executor")
 
@@ -42,30 +43,24 @@ logger = logging.getLogger("repro.runtime.executor")
 
 
 #: Per-process compiled-program memo, keyed on (problem content key,
-#: strategy).  A repeats-style sweep expands to many specs identical up to
-#: their seed; without this, every grid point landing in the same worker
-#: would rebuild the same circuit/plan from scratch.  Bounded LRU (hits
-#: move to the back, eviction pops the front) so a long-lived pool cannot
-#: hoard build products — and so two strategies interleaved across a wide
-#: sweep keep their hot programs instead of FIFO-thrashing each other out.
-_PROGRAM_MEMO: dict[tuple[str, str], Any] = {}
-_PROGRAM_MEMO_CAP = 32
+#: Hamiltonian order key, strategy): the content key ignores term order, the
+#: Trotter product does not.  A repeats-style sweep expands to many specs
+#: identical up to their seed; without this, every grid point landing in the
+#: same worker would rebuild the same circuit/plan from scratch.
+_PROGRAM_MEMO = LRUMemo(32)
 
 
 def _memoized_program(problem, strategy: str):
     from repro.compile.pipeline import compile_problem
 
-    key = (problem.content_key(), strategy.lower())
+    key = (problem.content_key(), problem.hamiltonian.order_key(), strategy.lower())
     program = _PROGRAM_MEMO.get(key)
     if program is None:
         metrics.incr("compile.memo_misses")
         program = compile_problem(problem, strategy)
-        while len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_CAP:
-            _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)))
+        _PROGRAM_MEMO.put(key, program)
     else:
         metrics.incr("compile.memo_hits")
-        del _PROGRAM_MEMO[key]  # re-insertion moves the hit to the LRU back
-    _PROGRAM_MEMO[key] = program
     return program
 
 

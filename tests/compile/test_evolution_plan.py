@@ -205,6 +205,8 @@ class TestPlanObject:
         import repro.compile.plan as plan_module
 
         monkeypatch.setattr(plan_module, "_MAX_TABLE_BITS", 3)
+        # Layouts memoized under the default cap must not serve this one.
+        monkeypatch.setattr(plan_module, "_LOWER_MEMO", LRUMemo(32))
         problem = repro.SimulationProblem.from_labels(
             5,
             {"dZZZs": 0.6, "ZZZZI": 0.4, "nIIIn": 0.3},
@@ -239,3 +241,144 @@ class TestPlanObject:
         np.testing.assert_allclose(
             out[:, 0], circuit_reference(program, batch[:, 0]), atol=1e-10
         )
+
+
+# ---------------------------------------------------------------------------
+# The lowering memo: the Hamiltonian-only half of lowering, built once per
+# (as-written Hamiltonian, strategy, trotter_split)
+# ---------------------------------------------------------------------------
+
+import repro.compile.plan as plan_module  # noqa: E402
+from repro.telemetry import metrics  # noqa: E402
+from repro.utils.memo import LRUMemo  # noqa: E402
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(plan_module, "_LOWER_MEMO", LRUMemo(32))
+    return plan_module._LOWER_MEMO
+
+
+def cold_lowering(problem, strategy):
+    """Lower with an empty memo, restoring the memo afterwards."""
+    saved = plan_module._LOWER_MEMO
+    plan_module._LOWER_MEMO = LRUMemo(32)
+    try:
+        return lower_problem(problem, strategy)
+    finally:
+        plan_module._LOWER_MEMO = saved
+
+
+def hubbard_problem(sites: int = 3):
+    from repro.applications.chemistry import fermi_hubbard_chain, jordan_wigner_scb
+
+    return repro.SimulationProblem(
+        jordan_wigner_scb(fermi_hubbard_chain(sites, 1.0, 4.0)), 0.5, order=2
+    )
+
+
+class TestLoweringMemo:
+    def test_reordered_hamiltonian_lowers_to_its_own_plan(self, empty_memo):
+        # Equal content keys, different Trotter products.
+        a = repro.SimulationProblem.from_labels(
+            2, [("XI", 0.7), ("ZZ", 0.4), ("IX", 0.3)], time=0.9
+        )
+        b = repro.SimulationProblem.from_labels(
+            2, [("ZZ", 0.4), ("XI", 0.7), ("IX", 0.3)], time=0.9
+        )
+        assert a.content_key() == b.content_key()
+        plan_a, plan_b = lower_problem(a, "direct"), lower_problem(b, "direct")
+        assert len(empty_memo) == 2
+        assert plan_a != plan_b
+        cold = cold_lowering(b, "direct")
+        assert plan_b == cold
+        psi = random_statevector(2, np.random.default_rng(0))
+        assert np.array_equal(plan_b.evolve(psi), cold.evolve(psi))
+        assert not np.array_equal(plan_a.evolve(psi), plan_b.evolve(psi))
+
+    def test_add_term_after_lowering_yields_a_new_plan(self, empty_memo):
+        ham = repro.Hamiltonian.from_labels(3, {"nsd": 0.4, "ZZI": 0.3})
+        problem = repro.SimulationProblem(ham, 0.5)
+        before = lower_problem(problem, "direct")
+        ham.add_label("IXX", 0.2)
+        after = lower_problem(problem, "direct")
+        assert len(after.step_groups) == len(before.step_groups) + 1
+        assert after == cold_lowering(problem, "direct")
+
+    def test_memo_stays_within_its_cap(self, empty_memo):
+        empty_memo.cap = 3
+        problems = [
+            repro.SimulationProblem.from_labels(2, {"ZZ": 0.1 * (k + 1)}, time=0.3)
+            for k in range(6)
+        ]
+        for problem in problems:
+            lower_problem(problem, "pauli")
+            assert len(empty_memo) <= 3
+        key = (problems[3].hamiltonian.order_key(), "pauli", False)
+        assert key in empty_memo
+        lower_problem(problems[3], "pauli")  # hit: refreshes its recency
+        lower_problem(problems[0], "pauli")  # miss: evicts problems[4], the LRU
+        assert key in empty_memo
+        assert (problems[4].hamiltonian.order_key(), "pauli", False) not in empty_memo
+
+    def test_refused_lowering_is_memoized_and_still_raises(self, empty_memo):
+        ham = repro.Hamiltonian(3).add_term(SCBTerm.from_label("ssI", 0.5 + 0.5j))
+        problem = repro.SimulationProblem(ham, 0.3).with_options(
+            complex_mode="trotter_split"
+        )
+        misses = metrics.counter("compile.lower_memo_misses")
+        hits = metrics.counter("compile.lower_memo_hits")
+        for _ in range(2):
+            with pytest.raises(PlanLoweringError, match="trotter_split"):
+                lower_problem(problem, "direct")
+        assert metrics.counter("compile.lower_memo_misses") == misses + 1
+        assert metrics.counter("compile.lower_memo_hits") == hits + 1
+        key = (ham.order_key(), "direct", True)
+        assert isinstance(empty_memo.get(key), PlanLoweringError)
+        # The exact mode of the same Hamiltonian is a separate entry.
+        assert lower_problem(repro.SimulationProblem(ham, 0.3), "direct") is not None
+        assert len(empty_memo) == 2
+
+    @pytest.mark.parametrize(
+        "table_bits, kept_signs",
+        [(14, 1 << 15), (3, 1 << 15), (14, 0)],
+        ids=["dense", "factored-sign", "rows-at-bake"],
+    )
+    def test_sweep_is_bit_identical_warm_and_cold(
+        self, empty_memo, monkeypatch, table_bits, kept_signs
+    ):
+        monkeypatch.setattr(plan_module, "_MAX_TABLE_BITS", table_bits)
+        monkeypatch.setattr(plan_module, "_MAX_KEPT_SIGNS", kept_signs)
+        complex_ham = repro.Hamiltonian(4)
+        for label, coefficient in (
+            ("dZZs", 0.6 + 0.2j), ("ZZnI", 0.4), ("IXYn", -0.3), ("nIIm", 0.25),
+        ):
+            complex_ham.add_label(label, coefficient)
+        bases = [hubbard_problem(3), repro.SimulationProblem(complex_ham, 1.0)]
+        from dataclasses import replace
+
+        for base in bases:
+            rng = np.random.default_rng(base.num_qubits)
+            batch = np.column_stack(
+                [random_statevector(base.num_qubits, rng) for _ in range(2)]
+            )
+            for strategy in ("direct", "pauli"):
+                for time_ in (0.2, 0.7):
+                    for steps in (1, 3):
+                        for order in (1, 2, 4):
+                            problem = replace(base, time=time_, steps=steps, order=order)
+                            warm = lower_problem(problem, strategy)
+                            cold = cold_lowering(problem, strategy)
+                            assert warm == cold
+                            assert np.array_equal(warm.evolve(batch), cold.evolve(batch))
+                            assert np.array_equal(
+                                warm.evolve(batch[:, 0]), cold.evolve(batch[:, 0])
+                            )
+                            # A hand-built plan derives its layouts at bake time.
+                            bare = EvolutionPlan(
+                                warm.num_qubits, warm.steps, warm.step_groups,
+                                warm.step_phase, warm.strategy,
+                            )
+                            assert np.array_equal(bare.evolve(batch), warm.evolve(batch))
+        # One structure per (Hamiltonian, strategy), whatever the grid point.
+        assert len(empty_memo) == 4

@@ -130,3 +130,70 @@ class TestPhysics:
         np.testing.assert_allclose(
             ham.to_pauli().matrix(num_qubits=3), ham.matrix(), atol=1e-12
         )
+
+
+class TestSerializationCaches:
+    def payload(self):
+        return example_hamiltonian().to_dict()
+
+    def test_from_dict_returns_independent_objects(self):
+        first = Hamiltonian.from_dict(self.payload())
+        second = Hamiltonian.from_dict(self.payload())
+        assert first is not second
+        assert first.terms == second.terms
+        key = second.content_key()
+        first.add_label("IIZ", 0.1)
+        assert first.num_terms == 4 and second.num_terms == 3
+        assert first.content_key() != key
+        assert second.content_key() == key
+        third = Hamiltonian.from_dict(self.payload())
+        assert third.num_terms == 3 and third.content_key() == key
+        # Interned parses key like a plain build of the same terms.
+        assert key == example_hamiltonian().content_key()
+
+    def test_edit_of_the_first_parse_does_not_reach_the_next(self):
+        first = Hamiltonian.from_dict(self.payload())
+        first.add_label("IIZ", 0.1)
+        first.content_key()
+        second = Hamiltonian.from_dict(self.payload())
+        assert second.num_terms == 3
+        assert second.content_key() == example_hamiltonian().content_key()
+        assert second.to_dict() == self.payload()
+
+    def test_parse_memo_stays_within_its_cap(self, monkeypatch):
+        from repro.operators import hamiltonian as module
+
+        from repro.utils.memo import LRUMemo
+
+        monkeypatch.setattr(module, "_PARSED", LRUMemo(2))
+        for coefficient in (0.1, 0.2, 0.3):
+            Hamiltonian.from_dict(Hamiltonian.from_labels(2, {"nZ": coefficient}).to_dict())
+            assert len(module._PARSED) <= 2
+
+    def test_to_dict_returns_fresh_containers(self):
+        ham = example_hamiltonian()
+        for canonical in (False, True):
+            payload = ham.to_dict(canonical=canonical)
+            expected = ham.to_dict(canonical=canonical)
+            payload["terms"][0]["coefficient"][0] = 99.0
+            payload["terms"][0]["label"] = "III"
+            payload["terms"].append({"label": "ZZZ", "coefficient": [1.0, 0.0]})
+            assert ham.to_dict(canonical=canonical) == expected
+
+    def test_canonical_form_is_sorted_and_tracks_mutation(self):
+        ham = example_hamiltonian()
+        labels = [term["label"] for term in ham.to_dict(canonical=True)["terms"]]
+        assert labels == sorted(labels)
+        ham.add_label("IIZ", 0.1)
+        assert len(ham.to_dict(canonical=True)["terms"]) == 4
+        assert len(ham.to_dict()["terms"]) == 4
+
+    def test_order_key_sees_term_order(self):
+        forward = Hamiltonian.from_labels(2, [("XI", 0.7), ("ZZ", 0.4)])
+        backward = Hamiltonian.from_labels(2, [("ZZ", 0.4), ("XI", 0.7)])
+        assert forward.content_key() == backward.content_key()
+        assert forward.order_key() != backward.order_key()
+        key = forward.order_key()
+        assert forward.order_key() == key
+        forward.add_label("IX", 0.3)
+        assert forward.order_key() != key

@@ -119,3 +119,17 @@ class TestAlgebra:
     def test_embed_wrong_map(self):
         with pytest.raises(OperatorError):
             SCBTerm.from_label("ns").embed(4, [1])
+
+
+class TestCachedLabel:
+    def test_label_is_computed_once_and_leaves_identity_alone(self):
+        import pickle
+
+        term = SCBTerm.from_label("nsdZ", 0.5)
+        assert term.label == "nsdZ"
+        assert term.label is term.label
+        twin = SCBTerm.from_label("nsdZ", 0.5)  # label not yet computed
+        assert term == twin and hash(term) == hash(twin)
+        restored = pickle.loads(pickle.dumps(term))
+        assert restored == term and restored.label == "nsdZ"
+        assert (term * 2).label == "nsdZ"

@@ -161,7 +161,9 @@ class TestProgramMemoLRU:
     def test_hits_refresh_recency(self, monkeypatch):
         """A touched entry must survive an eviction that FIFO would lose."""
         import repro.compile.pipeline as pipeline
+        import repro.compile.plan as plan_module
         from repro.runtime import executor as executor_module
+        from repro.utils.memo import LRUMemo
 
         calls = []
         real = pipeline.compile_problem
@@ -171,8 +173,8 @@ class TestProgramMemoLRU:
             return real(problem, strategy, **kwargs)
 
         monkeypatch.setattr(pipeline, "compile_problem", counting)
-        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO_CAP", 3)
-        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", LRUMemo(3))
+        monkeypatch.setattr(plan_module, "_LOWER_MEMO", LRUMemo(32))
 
         problems = {
             name: repro.SimulationProblem.from_labels(
@@ -202,6 +204,39 @@ class TestProgramMemoLRU:
 
         first = _memoized_program(problem(), "direct")
         assert _memoized_program(problem(), "direct") is first
+
+    def test_reordered_hamiltonian_gets_its_own_program(self, monkeypatch):
+        """Equal content keys, different Trotter products: no shared program.
+
+        ``content_key`` ignores term order; a memo keyed on it alone served
+        the first-seen ordering's state to the second.
+        """
+        import repro.compile.plan as plan_module
+        from repro.runtime import executor as executor_module
+        from repro.runtime.results import decode_result
+        from repro.utils.memo import LRUMemo
+
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", LRUMemo(32))
+        monkeypatch.setattr(plan_module, "_LOWER_MEMO", LRUMemo(32))
+        p_a = repro.SimulationProblem.from_labels(
+            2, [("XI", 0.7), ("ZZ", 0.4), ("IX", 0.3)], time=0.9
+        )
+        p_b = repro.SimulationProblem.from_labels(
+            2, [("ZZ", 0.4), ("XI", 0.7), ("IX", 0.3)], time=0.9
+        )
+        assert p_a.content_key() == p_b.content_key()
+        raw = {
+            name: repro.compile(p, "direct").run(backend="kernel").data
+            for name, p in (("a", p_a), ("b", p_b))
+        }
+        assert not np.array_equal(raw["a"], raw["b"])
+        for name, p in (("a", p_a), ("b", p_b)):
+            outcome = execute_spec(
+                RunSpec(p, "direct", "kernel", {"initial_state": 0}).to_dict()
+            )
+            assert outcome["ok"], outcome.get("error")
+            state = decode_result(outcome["result"], outcome["arrays"]).data
+            assert np.array_equal(state, raw[name]), name
 
 
 class TestBatchGrouping:

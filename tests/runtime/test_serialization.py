@@ -48,6 +48,28 @@ class TestCanonicalJson:
         with pytest.raises(SerializationError):
             canonical_json(np.zeros(2))
 
+    def test_subclasses_take_the_same_encoding_as_their_base(self):
+        # Exact built-in types take a fast path; subclasses and numpy
+        # scalars must still encode exactly as their plain equivalents.
+        import enum
+        from collections import OrderedDict, namedtuple
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Tag(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        payload = OrderedDict(
+            [("z", Pair(Level.HIGH, np.float32(0.5))), ("a", [Tag("x"), True, None])]
+        )
+        assert canonical_json(payload) == '{"a":["x",true,null],"z":[3,0.5]}'
+        assert canonical_json(np.complex128(1 - 2j)) == "[1.0,-2.0]"
+        for bad in (np.float64("nan"), -float("inf"), {Tag("ok"): {2: "x"}}, np.bool_(True)):
+            with pytest.raises(SerializationError):
+                canonical_json(bad)
+
     def test_content_hash_is_stable_and_tagged(self):
         assert content_hash({"a": 1}) == content_hash({"a": 1})
         assert content_hash({"a": 1}) != content_hash({"a": 2})

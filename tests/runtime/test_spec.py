@@ -217,3 +217,60 @@ class TestHashStability:
         ham.add_label("IZZI", 0.3)
         assert ham.content_key() != key
         assert ham.version == 2
+
+
+class TestGoldenKeys:
+    """Content keys are an on-disk format: caches written earlier must hit.
+
+    The digests below were computed before the Hamiltonian's serialized
+    forms were cached; any change to how a key is built must keep them.
+    """
+
+    @staticmethod
+    def golden_problem():
+        return repro.SimulationProblem.from_labels(
+            3,
+            [("sdI", 0.8), ("IZZ", 0.3), ("XIn", -0.25), ("dIs", 0.5 + 0.25j)],
+            time=0.7,
+            steps=2,
+            order=2,
+        )
+
+    def test_keys_are_pinned(self):
+        from repro.compile.plan import plan_group_key
+
+        problem = self.golden_problem()
+        assert problem.hamiltonian.content_key() == (
+            "cde267eaf45d646455838f40f24dfe230bc5ceb0b8483c79d97b90ed18c67a44"
+        )
+        assert problem.content_key() == (
+            "f2885bb6ab8a18a6668722fc26aa6cdf852e8c66eafd1bc9564cc264dc86ae95"
+        )
+        kernel = RunSpec(problem, "direct", "kernel", {"initial_state": 5})
+        assert kernel.content_key() == (
+            "2fda878208c74ef6e31a22fec6173115ce96b8f3065aa9a6e246c22f7c1a7148"
+        )
+        assert plan_group_key(
+            kernel.to_dict(canonical=True)["problem"], "direct", backend="kernel"
+        ) == "a3eede3bb3223996df0849f3b4c0c5ffabc4922c3b7c891f2aeff51d5db55d7a"
+        sampling = RunSpec(problem, "pauli", "sampling", {"shots": 64, "rng": 11})
+        assert sampling.content_key() == (
+            "a4aac3614fa392dbe4d94e5d69e4c92c38d9a0ab6fc2c5bb824749e8be2343eb"
+        )
+        assert plan_group_key(
+            sampling.to_dict(canonical=True)["problem"],
+            "pauli",
+            backend="sampling",
+            shared_kwargs={"shots": 64},
+        ) == "bcf000b406a4480246ab7029a5767def2401c875090c996ec0ef1153a3448755"
+
+    def test_keys_survive_a_parse_and_a_warm_cache(self):
+        # The same digests from a parsed (interned) copy, asked twice.
+        problem = repro.SimulationProblem.from_dict(self.golden_problem().to_dict())
+        for _ in range(2):
+            assert problem.hamiltonian.content_key() == (
+                "cde267eaf45d646455838f40f24dfe230bc5ceb0b8483c79d97b90ed18c67a44"
+            )
+            assert problem.content_key() == (
+                "f2885bb6ab8a18a6668722fc26aa6cdf852e8c66eafd1bc9564cc264dc86ae95"
+            )

@@ -111,15 +111,34 @@ class TestMetricsInstrumentation:
         assert counters.get("batch.points_fused", 0) == 0
 
     def test_compile_memo_counters(self, monkeypatch):
+        import repro.compile.plan as plan_module
         from repro.runtime import executor as executor_module
+        from repro.utils.memo import LRUMemo
 
-        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", LRUMemo(32))
+        monkeypatch.setattr(plan_module, "_LOWER_MEMO", LRUMemo(32))
         spec = RunSpec(problem=problem())
         execute_spec(spec.to_dict(canonical=True))
         execute_spec(spec.to_dict(canonical=True))
         counters = metrics.snapshot()["counters"]
         assert counters["compile.memo_misses"] >= 1
         assert counters["compile.memo_hits"] >= 1
+
+    def test_lowering_memo_counters(self, monkeypatch):
+        # One lowering per program build: a second time point compiles a new
+        # program but reuses the Hamiltonian-only half of its plan.
+        import repro.compile.plan as plan_module
+        from repro.runtime import executor as executor_module
+        from repro.utils.memo import LRUMemo
+
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", LRUMemo(32))
+        monkeypatch.setattr(plan_module, "_LOWER_MEMO", LRUMemo(32))
+        for time_ in (0.3, 0.6, 0.6):
+            spec = RunSpec(problem=problem(time=time_), backend="kernel")
+            assert execute_spec(spec.to_dict(canonical=True))["ok"]
+        counters = metrics.snapshot()["counters"]
+        assert counters["compile.lower_memo_misses"] == 1
+        assert counters["compile.lower_memo_hits"] == 1
 
     def test_cache_counters_and_spans(self, traced, tmp_path):
         from repro.runtime.cache import ResultCache
